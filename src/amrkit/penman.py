@@ -10,8 +10,10 @@ first mention, a space before and after every parenthesis.
 from __future__ import annotations
 
 import enum
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Optional, Union
 
 from .graph import _NUMBER_RE, AmrGraph, Concept, Constant, Edge, Variable
 
@@ -58,244 +60,200 @@ class ParseError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # lparen rparen slash role string atom
-    text: str
-    offset: int
-    line: int
-    column: int
+# One alternative per token kind; whitespace matches none of them, so
+# ``finditer`` skips it.  A string without its closing quote runs to the
+# end of the input.
+_TOKEN_RE = re.compile(
+    r'(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)|(?P<string>"[^"]*"?)'
+    r'|(?P<role>:[^\s()/"]*)|(?P<atom>[^\s():/"]+)'
+)
 
-
-_DELIMS = set('():/"')
-
-
-def _lex(text: str, diags: list[ParseDiagnostic]) -> tuple[list[_Token], _Token]:
-    """Split text into tokens; returns (tokens, end-of-input marker)."""
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def step(upto: int) -> None:
-        nonlocal i, line, col
-        while i < upto:
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            step(i + 1)
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", "(", i, line, col))
-            step(i + 1)
-        elif ch == ")":
-            tokens.append(_Token("rparen", ")", i, line, col))
-            step(i + 1)
-        elif ch == "/":
-            tokens.append(_Token("slash", "/", i, line, col))
-            step(i + 1)
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                diags.append(
-                    ParseDiagnostic(
-                        DiagnosticCode.MALFORMED_TOKEN,
-                        "unterminated quoted string",
-                        line,
-                        col,
-                        i,
-                    )
-                )
-                tokens.append(_Token("string", text[i + 1 :], i, line, col))
-                step(n)
-            else:
-                tokens.append(_Token("string", text[i + 1 : j], i, line, col))
-                step(j + 1)
-        elif ch == ":":
-            j = i + 1
-            while j < n and not text[j].isspace() and text[j] not in '()/"':
-                j += 1
-            tokens.append(_Token("role", text[i:j], i, line, col))
-            step(j)
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _DELIMS:
-                j += 1
-            tokens.append(_Token("atom", text[i:j], i, line, col))
-            step(j)
-    return tokens, _Token("eof", "", n, line, col)
+# a token is (kind, text, offset); kinds are the group names above plus eof
+_Token = tuple[str, str, int]
 
 
 class _Parser:
-    """Recursive-descent parser with best-effort recovery: it keeps going
-    after a problem so one pass reports everything, and only builds a graph
-    when no diagnostics were produced."""
+    """Parser with best-effort recovery: it keeps going after a problem so
+    one pass reports everything, and only builds a graph when no
+    diagnostics were produced.  Nesting is kept on an explicit stack, so
+    depth is limited by memory, not by Python's recursion limit."""
 
     def __init__(self, text: str):
+        self.text = text
         self.diags: list[ParseDiagnostic] = []
-        self.tokens, self.eof = _lex(text, self.diags)
+        self.newlines: Optional[list[int]] = None  # offsets of "\n", found at the first report
+        self.tokens = self.lex()
         self.pos = 0
         self.instances: dict[str, Concept] = {}
-        self.definition_tokens: dict[str, _Token] = {}
+        self.defined_at: dict[str, int] = {}
         self.edges: list[tuple[str, str, Union[str, Constant]]] = []
         # targets recorded as bare strings are variable references or bare
         # constants; they are told apart once every definition is known
         self.pending: list[tuple[int, _Token]] = []
         self.synthetic = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+    def lex(self) -> list[_Token]:
+        """Split the text into tokens, ending with an end-of-input token."""
+        tokens = []
+        for match in _TOKEN_RE.finditer(self.text):
+            kind, text, offset = match.lastgroup, match.group(), match.start()
+            if kind == "string":
+                if len(text) > 1 and text[-1] == '"':
+                    text = text[1:-1]
+                else:
+                    self.report(
+                        DiagnosticCode.MALFORMED_TOKEN, "unterminated quoted string", offset
+                    )
+                    text = text[1:]
+            tokens.append((kind, text, offset))
+        tokens.append(("eof", "", len(self.text)))
+        return tokens
 
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of an offset."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        before = bisect_left(self.newlines, offset)
+        return before + 1, offset - (self.newlines[before - 1] if before else -1)
 
-    def report(self, code: DiagnosticCode, message: str, tok: _Token) -> None:
-        self.diags.append(ParseDiagnostic(code, message, tok.line, tok.column, tok.offset))
+    def report(self, code: DiagnosticCode, message: str, offset: int) -> None:
+        line, column = self.position(offset)
+        self.diags.append(ParseDiagnostic(code, message, line, column, offset))
 
     def parse(self) -> AmrGraph:
-        tok = self.peek()
-        if tok.kind != "lparen":
-            found = "end of input" if tok.kind == "eof" else repr(tok.text)
-            self.report(DiagnosticCode.MALFORMED_TOKEN, f"expected '(' but found {found}", tok)
+        kind, text, offset = self.tokens[0]
+        if kind != "lparen":
+            found = "end of input" if kind == "eof" else repr(text)
+            self.report(DiagnosticCode.MALFORMED_TOKEN, f"expected '(' but found {found}", offset)
             raise ParseError(self.diags)
         root = self.parse_node()
-        trailing = self.peek()
-        if trailing.kind == "rparen":
-            self.report(DiagnosticCode.UNBALANCED_PAREN, "unmatched ')'", trailing)
-        elif trailing.kind != "eof":
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "rparen":
+            self.report(DiagnosticCode.UNBALANCED_PAREN, "unmatched ')'", offset)
+        elif kind != "eof":
             self.report(
-                DiagnosticCode.MALFORMED_TOKEN,
-                f"unexpected text after the graph: {trailing.text!r}",
-                trailing,
+                DiagnosticCode.MALFORMED_TOKEN, f"unexpected text after the graph: {text!r}", offset
             )
         self.resolve_pending()
         if self.diags:
             raise ParseError(self.diags)
+        variables = {name: Variable(name) for name in self.instances}
         edges = []
         for source, role, target in self.edges:
-            resolved: Union[Variable, Constant]
-            if isinstance(target, Constant):
-                resolved = target
-            else:
-                resolved = Variable(target)
-            edges.append((Variable(source), role, resolved))
+            if not isinstance(target, Constant):
+                target = variables[target]
+            edges.append((variables[source], role, target))
         return AmrGraph.build(
-            Variable(root),
-            {Variable(name): concept for name, concept in self.instances.items()},
+            variables[root],
+            {variables[name]: concept for name, concept in self.instances.items()},
             edges,
         )
 
-    def fresh_name(self) -> str:
-        self.synthetic += 1
-        return f"_missing{self.synthetic}"
-
     def parse_node(self) -> str:
-        self.take()  # the '('
-        tok = self.peek()
-        if tok.kind == "atom":
-            self.take()
-            name = tok.text
+        """Parse the node opening at the current '(' with everything nested
+        in it, and return its variable name."""
+        tokens, edges = self.tokens, self.edges
+        # open nodes, innermost last: (name, edge slot that receives the
+        # name when the node closes, or -1)
+        stack: list[tuple[str, int]] = []
+        opening, slot = True, -1
+        while True:
+            if opening:
+                stack.append((self.open_node(), slot))
+                opening = False
+            kind, text, offset = tokens[self.pos]
+            if kind == "role":
+                self.pos += 1
+                if text == ":":
+                    self.report(DiagnosticCode.EMPTY_ROLE, "role name is empty", offset)
+                source = stack[-1][0]
+                target = tokens[self.pos]
+                if target[0] == "lparen":
+                    # reserve the slot first so edges stay in surface order
+                    # even though the child's name is only known after its
+                    # subtree
+                    opening, slot = True, len(edges)
+                    edges.append((source, text, ""))
+                elif target[0] == "string":
+                    self.pos += 1
+                    edges.append((source, text, Constant(target[1], "string")))
+                elif target[0] == "atom":
+                    self.pos += 1
+                    self.pending.append((len(edges), target))
+                    edges.append((source, text, target[1]))
+                else:
+                    self.report(
+                        DiagnosticCode.MALFORMED_TOKEN, f"role {text!r} has no value", target[2]
+                    )
+            elif kind == "rparen" or kind == "eof":
+                if kind == "rparen":
+                    self.pos += 1
+                else:
+                    self.report(DiagnosticCode.UNBALANCED_PAREN, "missing ')'", offset)
+                name, filled = stack.pop()
+                if filled >= 0:
+                    edges[filled] = edges[filled][:2] + (name,)
+                if not stack:
+                    return name
+            elif kind == "slash":
+                self.report(DiagnosticCode.MALFORMED_TOKEN, "unexpected '/'", offset)
+                self.pos += 1
+            else:
+                # a value with no role in front of it
+                self.report(
+                    DiagnosticCode.MALFORMED_TOKEN, f"expected a role, found {text!r}", offset
+                )
+                if kind == "lparen":
+                    opening, slot = True, -1
+                else:
+                    self.pos += 1
+
+    def open_node(self) -> str:
+        """Consume '(', the variable and its concept; return the name."""
+        self.pos += 1
+        kind, name, offset = self.tokens[self.pos]
+        if kind == "atom":
+            self.pos += 1
         else:
-            self.report(DiagnosticCode.MALFORMED_TOKEN, "expected a variable name after '('", tok)
-            name = self.fresh_name()
+            self.report(
+                DiagnosticCode.MALFORMED_TOKEN, "expected a variable name after '('", offset
+            )
+            self.synthetic += 1
+            name = f"_missing{self.synthetic}"
         if name in self.instances:
-            prev = self.definition_tokens[name]
+            line, column = self.position(self.defined_at[name])
             self.report(
                 DiagnosticCode.DUPLICATE_VARIABLE,
-                f"variable {name!r} already defined at {prev.line}:{prev.column}",
-                tok,
+                f"variable {name!r} already defined at {line}:{column}",
+                offset,
             )
         else:
-            self.definition_tokens[name] = tok
-        concept = self.parse_concept(name)
-        if name not in self.instances:
-            self.instances[name] = concept
-        self.parse_relations(name)
+            self.defined_at[name] = offset
+        self.instances.setdefault(name, self.parse_concept(name))
         return name
 
     def parse_concept(self, name: str) -> Concept:
-        tok = self.peek()
-        if tok.kind != "slash":
+        kind, _, offset = self.tokens[self.pos]
+        if kind != "slash":
             self.report(
-                DiagnosticCode.MISSING_CONCEPT, f"variable {name!r} has no '/ concept'", tok
+                DiagnosticCode.MISSING_CONCEPT, f"variable {name!r} has no '/ concept'", offset
             )
             return Concept("_missing")
-        self.take()
-        tok = self.peek()
-        if tok.kind != "atom":
-            self.report(DiagnosticCode.MISSING_CONCEPT, "expected a concept after '/'", tok)
+        self.pos += 1
+        kind, label, offset = self.tokens[self.pos]
+        if kind != "atom":
+            self.report(DiagnosticCode.MISSING_CONCEPT, "expected a concept after '/'", offset)
             return Concept("_missing")
-        self.take()
-        return Concept(tok.text)
-
-    def parse_relations(self, source: str) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "rparen":
-                self.take()
-                return
-            if tok.kind == "eof":
-                self.report(DiagnosticCode.UNBALANCED_PAREN, "missing ')'", tok)
-                return
-            if tok.kind == "role":
-                self.take()
-                if tok.text == ":":
-                    self.report(DiagnosticCode.EMPTY_ROLE, "role name is empty", tok)
-                self.parse_target(source, tok.text)
-                continue
-            if tok.kind == "slash":
-                self.report(DiagnosticCode.MALFORMED_TOKEN, "unexpected '/'", tok)
-                self.take()
-                continue
-            # a value with no role in front of it
-            self.report(
-                DiagnosticCode.MALFORMED_TOKEN, f"expected a role, found {tok.text!r}", tok
-            )
-            if tok.kind == "lparen":
-                self.parse_node()
-            else:
-                self.take()
-
-    def parse_target(self, source: str, role: str) -> None:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            # reserve the slot first so edges stay in surface order even
-            # though the child's name is only known after its subtree
-            slot = len(self.edges)
-            self.edges.append((source, role, ""))
-            child = self.parse_node()
-            self.edges[slot] = (source, role, child)
-        elif tok.kind == "string":
-            self.take()
-            self.edges.append((source, role, Constant(tok.text, "string")))
-        elif tok.kind == "atom":
-            self.take()
-            self.pending.append((len(self.edges), tok))
-            self.edges.append((source, role, tok.text))
-        else:
-            self.report(
-                DiagnosticCode.MALFORMED_TOKEN, f"role {role!r} has no value", tok
-            )
+        self.pos += 1
+        return Concept(label)
 
     def resolve_pending(self) -> None:
         """Decide whether each bare target token is a variable reference or
         a constant.  A token naming a variable defined anywhere in the text
         (before or after the mention) is a reference; otherwise numbers,
         non-alphabetic tokens, and sentence-mode words are constants."""
-        for index, tok in self.pending:
+        for index, (_, text, offset) in self.pending:
             source, role, _ = self.edges[index]
-            text = tok.text
             if text in self.instances:
                 continue  # stays a reference
             if _NUMBER_RE.match(text):
@@ -304,7 +262,7 @@ class _Parser:
                 self.edges[index] = (source, role, Constant(text, "symbol"))
             else:
                 self.report(
-                    DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", tok
+                    DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", offset
                 )
 
 
@@ -362,21 +320,27 @@ def serialize_canonical(graph: AmrGraph) -> str:
     parts: list[str] = []
     expanded: set[Variable] = set()
 
-    def expand(var: Variable) -> None:
+    def expand(var: Variable) -> Iterator[Edge]:
         expanded.add(var)
         parts.extend(("(", var.name, "/", graph.instances[var].label))
-        for edge in outgoing[var]:
+        return iter(outgoing[var])
+
+    # one iterator over the remaining outgoing edges per open node
+    stack = [expand(graph.root)]
+    while stack:
+        for edge in stack[-1]:
             parts.append(edge.role)
             target = edge.target
             if isinstance(target, Constant):
                 parts.append(str(target))
             elif target not in expanded:
-                expand(target)
+                stack.append(expand(target))
+                break
             else:
                 parts.append(target.name)
-        parts.append(")")
-
-    expand(graph.root)
+        else:
+            parts.append(")")
+            stack.pop()
     missing = set(graph.instances) - expanded
     if missing:
         names = ", ".join(sorted(v.name for v in missing))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import IO, Iterable, Mapping, Optional, Union
 
-from .graph import AmrGraph, Concept, Variable
+from .graph import AmrGraph, Concept, Target, Variable
 
 
 class Rule(enum.Enum):
@@ -179,13 +179,30 @@ _ARG_OF_ROLE_RE = re.compile(r"^:ARG\d+-of$")
 AND_MIN_OPERANDS = 2
 
 
-def check_and_operands(graph: AmrGraph) -> list[Violation]:
-    """Flag every ``and`` node with fewer than two ``:op`` edges."""
+def _role_index(graph: AmrGraph) -> tuple[dict[Variable, int], dict[Target, set[str]]]:
+    """One pass over the edges: how many ``:opN`` edges each variable
+    sources, and the core roles each variable uses as a frame."""
+    op_counts: dict[Variable, int] = {}
+    core_roles: dict[Target, set[str]] = {}
+    for edge in graph.edges:
+        role = edge.role
+        if _OP_ROLE_RE.match(role):
+            op_counts[edge.source] = op_counts.get(edge.source, 0) + 1
+        elif _ARG_ROLE_RE.match(role):
+            core_roles.setdefault(edge.source, set()).add(role)
+        elif _ARG_OF_ROLE_RE.match(role):
+            # an incoming :ARGn-of edge asserts the same fact as an outgoing
+            # :ARGn edge, so both count as the frame using role :ARGn
+            core_roles.setdefault(edge.target, set()).add(role[: -len("-of")])
+    return op_counts, core_roles
+
+
+def _and_arity(graph: AmrGraph, op_counts: dict[Variable, int]) -> list[Violation]:
     out = []
     for var, concept in graph.instances.items():
         if concept.label != "and":
             continue
-        count = sum(1 for e in graph.edges if e.source == var and _OP_ROLE_RE.match(e.role))
+        count = op_counts.get(var, 0)
         if count < AND_MIN_OPERANDS:
             out.append(
                 Violation(
@@ -197,30 +214,12 @@ def check_and_operands(graph: AmrGraph) -> list[Violation]:
     return out
 
 
-def _core_roles_used(graph: AmrGraph, var: Variable) -> set[str]:
-    # an incoming :ARGn-of edge asserts the same fact as an outgoing :ARGn
-    # edge, so both count as the frame using role :ARGn
-    used = set()
-    for edge in graph.edges:
-        if edge.source == var and _ARG_ROLE_RE.match(edge.role):
-            used.add(edge.role)
-        if edge.target == var and _ARG_OF_ROLE_RE.match(edge.role):
-            used.add(edge.role[: -len("-of")])
-    return used
-
-
-def check_frame_args(
+def _frame_args(
     graph: AmrGraph,
     lexicon: FrameLexicon,
-    unknown_frame_policy: str = "ignore",
+    unknown_frame_policy: str,
+    core_roles: dict[Target, set[str]],
 ) -> list[Violation]:
-    """Check every predicate frame's core arguments against the lexicon.
-
-    A concept with a trailing sense number (``want-01``) is a frame.
-    Frames absent from the lexicon are skipped under policy ``ignore``
-    and reported as UnknownFrame under policy ``flag``; their arguments
-    are never judged either way.  Non-core roles are never checked.
-    """
     if unknown_frame_policy not in ("ignore", "flag"):
         raise ValueError(
             f"unknown_frame_policy must be 'ignore' or 'flag', got {unknown_frame_policy!r}"
@@ -240,7 +239,7 @@ def check_frame_args(
                     )
                 )
             continue
-        for role in sorted(_core_roles_used(graph, var)):
+        for role in sorted(core_roles.get(var, ())):
             if not entry.allows(role):
                 out.append(
                     Violation(
@@ -250,6 +249,26 @@ def check_frame_args(
                     )
                 )
     return out
+
+
+def check_and_operands(graph: AmrGraph) -> list[Violation]:
+    """Flag every ``and`` node with fewer than two ``:op`` edges."""
+    return _and_arity(graph, _role_index(graph)[0])
+
+
+def check_frame_args(
+    graph: AmrGraph,
+    lexicon: FrameLexicon,
+    unknown_frame_policy: str = "ignore",
+) -> list[Violation]:
+    """Check every predicate frame's core arguments against the lexicon.
+
+    A concept with a trailing sense number (``want-01``) is a frame.
+    Frames absent from the lexicon are skipped under policy ``ignore``
+    and reported as UnknownFrame under policy ``flag``; their arguments
+    are never judged either way.  Non-core roles are never checked.
+    """
+    return _frame_args(graph, lexicon, unknown_frame_policy, _role_index(graph)[1])
 
 
 def validate(
@@ -265,5 +284,8 @@ def validate(
     here.  Violations are sorted by variable name, then rule, then
     detail, so identical inputs always produce identical reports.
     """
-    found = check_and_operands(graph) + check_frame_args(graph, lexicon, unknown_frame_policy)
+    op_counts, core_roles = _role_index(graph)
+    found = _and_arity(graph, op_counts) + _frame_args(
+        graph, lexicon, unknown_frame_policy, core_roles
+    )
     return ValidationReport(tuple(sorted(found, key=Violation.sort_key)), graph_id)

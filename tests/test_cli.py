@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import amrkit
 from amrkit.cli import main
 from genutil import (
     AND_ARITY_BAD,
@@ -393,6 +395,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["split", path])
         assert info.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, corpus_file):
+        path = corpus_file("in.amr", FIGURE_RECORD)
+        package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        result = subprocess.run(
+            [sys.executable, "-m", "amrkit", "canonicalize", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert result.returncode == 0
+        assert result.stdout == "# ::id fig1\n" + WANT_GO_CANONICAL + "\n"
 
 
 class TestConsoleScript:

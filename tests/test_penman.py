@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrkit import (
     AmrGraph,
@@ -19,7 +21,10 @@ from amrkit import (
     serialize_canonical,
     strip_wiki,
 )
+from amrkit.corpus import CorpusEntry
+from amrkit.penman import _Parser
 from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
+from oracles import penman_lex
 
 
 def codes_of(err: ParseError) -> list[DiagnosticCode]:
@@ -266,3 +271,137 @@ class TestRoundTrip:
                 theirs = [(e.role, e.target) for e in back.outgoing(var)]
                 assert ours == theirs
             assert serialize_canonical(back) == text
+
+
+def arg0_chain(depth: int) -> str:
+    """A canonical chain ``( v0 / c :ARG0 ( v1 / c :ARG0 ... ) )``."""
+    opens = "".join(f"( v{i} / c :ARG0 " for i in range(depth - 1))
+    return opens + f"( v{depth - 1} / c" + " )" * depth
+
+
+class TestDeepNesting:
+    DEPTH = 10_000
+
+    def test_parse_and_round_trip(self):
+        text = arg0_chain(self.DEPTH)
+        graph = parse(text)
+        assert len(graph.instances) == self.DEPTH
+        assert graph.edges[-1].target == Variable(f"v{self.DEPTH - 1}")
+        assert canonicalize(text) == text
+
+    def test_corpus_entry_does_not_raise(self):
+        entry = CorpusEntry({"id": "deep"}, arg0_chain(self.DEPTH))
+        assert entry.graph is not None
+        assert entry.parse_error is None
+
+    def test_missing_close_parens_raise_parse_error(self):
+        text = arg0_chain(self.DEPTH).rstrip(" )")
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert set(codes_of(info.value)) == {DiagnosticCode.UNBALANCED_PAREN}
+        assert len(info.value.diagnostics) == self.DEPTH
+
+
+def outcome(parse_fn, text: str):
+    """A comparable summary of parsing ``text``: the graph, or every
+    diagnostic as (code, message, line, column, offset).  Exceptions other
+    than ParseError propagate."""
+    try:
+        graph = parse_fn(text)
+    except ParseError as err:
+        return "error", [(d.code, d.message, d.line, d.column, d.offset) for d in err.diagnostics]
+    return "graph", graph
+
+
+def tokens_of(text: str) -> list[tuple[str, str, int]]:
+    return _Parser(text).tokens
+
+
+def oracle_tokens_of(text: str) -> list[tuple[str, str, int]]:
+    tokens, eof = penman_lex.lex(text, [])
+    return [(t.kind, t.text, t.offset) for t in tokens + [eof]]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """Delete or insert a few PENMAN characters, to reach the diagnostics."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.4 and chars:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars.insert(pos, rng.choice(PENMAN_ALPHABET))
+    return "".join(chars)
+
+
+PENMAN_ALPHABET = '()/:"ab01-. \n\t\r\x1c\u00a0\u2028'
+
+HAND_CASES = [
+    "",
+    "   \n\t ",
+    '( c / city :name "New York )',
+    '( c / city :name "New\nYork" :op1 "',
+    "( w / want-01\r\n  :ARG0 ( b / boy )\r\n  :ARG1 qq )",
+    "(\tw\t/\twant-01\t:ARG0\tzz\t)",
+    "( w\x1c/\u00a0want-01\u2028:ARG0 ( b / boy ) )",
+    "( w / want-01\u2028:ARG0 zz\n:ARG1 yy )",
+    "( a / and :op1:x ( b / boy ) )",
+    "( a / and a:ARG0 ( b / boy ) )",
+    "( a / and : ( b / boy ) )",
+    "( a / and :ARG0 : ( b / boy ) )",
+    "( a / x ) ) trailing",
+    "( a / x ) b",
+    "x ( a / b )",
+    "( / x )",
+    "( a / x :ARG0 ( a / y ) :ARG1 ( a / z\n) )",
+    "( a / x :ARG0 )",
+    "( a / x / y :ARG0 b c )",
+    "( a ( b / c ) )",
+    "(((",
+    ")",
+]
+
+
+class TestLexerOracle:
+    """The regex lexer and explicit-stack parser against the
+    character-stepping lexer and recursive parser they replaced."""
+
+    def check(self, text: str) -> None:
+        assert tokens_of(text) == oracle_tokens_of(text)
+        assert outcome(parse, text) == outcome(penman_lex.parse, text)
+
+    @pytest.mark.parametrize("text", HAND_CASES)
+    def test_hand_cases(self, text):
+        self.check(text)
+
+    def test_random_graphs_and_mutations(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            text = serialize_canonical(random_graph(rng))
+            self.check(text)
+            self.check(mutate(text, rng))
+
+    def test_whitespace_class_matches_isspace(self):
+        # the lexer's \s must skip exactly what str.isspace, which the
+        # oracle uses, calls whitespace: over every code point
+        chars = [chr(code) for code in range(0x110000) if chr(code) not in '()/:"']
+        tokens = tokens_of("".join(chars))
+        assert {kind for kind, _, _ in tokens} == {"atom", "eof"}
+        assert "".join(text for _, text, _ in tokens) == "".join(
+            char for char in chars if not char.isspace()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=PENMAN_ALPHABET, max_size=40))
+    def test_arbitrary_text(self, text):
+        # totality: ParseError is the only exception parse may raise
+        self.check(text)
+
+    @settings(max_examples=25, deadline=None)
+    @given(depth=st.integers(1, 5_000), tail=st.text(alphabet=PENMAN_ALPHABET, max_size=20))
+    def test_deep_text(self, depth, tail):
+        # an unclosed chain: ParseError, or a graph when the tail closes it
+        text = "".join(f"( v{i} / c :ARG0 " for i in range(depth)) + tail
+        outcome(parse, text)
+        entry = CorpusEntry({}, text)
+        assert (entry.graph is None) != (entry.parse_error is None)

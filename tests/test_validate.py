@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrkit import (
+    AmrGraph,
+    Concept,
+    Constant,
     FrameEntry,
     FrameLexicon,
     LexiconError,
     Rule,
+    Variable,
     Violation,
     check_and_operands,
     check_frame_args,
@@ -24,6 +28,7 @@ from amrkit import (
     validate,
 )
 from genutil import WANT_GO_PRETTY, random_graph
+from oracles import validate_scan
 
 
 def lex(*pairs: tuple[str, list[str]]) -> FrameLexicon:
@@ -325,3 +330,67 @@ class TestLexiconGrowth:
         grown = lex(("go-01", ["ARG0"]), ("want-01", ["ARG0", "ARG1"]))
         assert illegal_count(graph, small) == 0
         assert illegal_count(graph, grown) == 1
+
+
+# graphs the random generator rarely or never produces
+ORACLE_HAND_CASES = [
+    # :ARGn-of edges onto constants count for no variable
+    '( w / want-01 :ARG0-of "x" :ARG5-of 7 :ARG1 ( b / boy :ARG2-of - ) )',
+    # self-loops, both directions
+    "( w / want-01 :ARG5 w :ARG6-of w :ARG0 ( g / go-01 :ARG3-of g ) )",
+    # reentrant :op edges into an and node
+    "( a / and :op1 ( r / run-01 :ARG0 ( d / dog ) ) :op1 r :op2 a )",
+    "( a / and :op1 ( b / and :op1 a ) :mod b :op3-of b )",
+    "( s / say-01 :ARG1-of ( a / and :op1 s :op1-of s ) )",
+]
+
+
+class TestValidationOracle:
+    """The one-pass role index against the per-variable edge rescans it
+    replaced."""
+
+    LEXICONS = [
+        default_frame_lexicon(),
+        FrameLexicon.from_pairs(
+            [("want-01", ["ARG0"]), ("go-01", []), ("say-01", ["ARG0", "ARG2"]), ("run-01", [])]
+        ),
+    ]
+
+    def check(self, graph: AmrGraph) -> None:
+        for lexicon in self.LEXICONS:
+            for policy in ("ignore", "flag"):
+                assert validate(graph, lexicon, policy, "g") == validate_scan.validate(
+                    graph, lexicon, policy, "g"
+                )
+                assert check_frame_args(graph, lexicon, policy) == (
+                    validate_scan.check_frame_args(graph, lexicon, policy)
+                )
+        assert check_and_operands(graph) == validate_scan.check_and_operands(graph)
+
+    @pytest.mark.parametrize("text", ORACLE_HAND_CASES)
+    def test_hand_cases(self, text):
+        self.check(parse(text))
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            self.check(random_graph(rng, max_vars=30))
+
+    def test_random_and_nodes_with_reentrant_operands(self):
+        rng = random.Random(29)
+        roles = [":op1", ":op2", ":op3", ":ARG0", ":ARG1-of", ":ARG2", ":mod"]
+        for _ in range(200):
+            count = rng.randint(1, 12)
+            variables = [Variable(f"v{i}") for i in range(count)]
+            labels = ["and", "want-01", "go-01", "say-01", "boy"]
+            instances = {v: Concept(rng.choice(labels)) for v in variables}
+            edges = [
+                (variables[rng.randrange(i)], rng.choice(roles), variables[i])
+                for i in range(1, count)
+            ]
+            for _ in range(rng.randint(0, 2 * count)):
+                target = variables[rng.randrange(count)]
+                if rng.random() < 0.1:
+                    target = Constant("7", "number")
+                edges.append((variables[rng.randrange(count)], rng.choice(roles), target))
+            self.check(AmrGraph.build(variables[0], instances, edges))
