@@ -190,44 +190,40 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validation_report(
-    outcome: FilterOutcome, fmt: str
-) -> str:
-    labels = [
-        _entry_label(entry, position)
-        for position, (entry, _) in enumerate(outcome.results)
-    ]
+def _render(fmt: str, payload: dict, lines: list[str]) -> str:
+    """The report text: ``payload`` as indented JSON, or ``lines`` as TSV."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _validation_report(outcome: FilterOutcome, fmt: str) -> str:
     counts = outcome.violation_counts()
     kept = len(outcome.kept)
     total = len(outcome.results)
-    if fmt == "json":
-        payload = {
-            "entries": total,
-            "kept": kept,
-            "discarded": total - kept,
-            "rule_counts": {rule.value: counts.get(rule, 0) for rule in Rule},
-            "violations": [
-                {
-                    "entry": labels[position],
-                    "rule": violation.rule.value,
-                    "node": violation.node,
-                    "detail": violation.detail,
-                }
-                for position, (_, report) in enumerate(outcome.results)
-                for violation in report.violations
-            ],
+    violations = [
+        {
+            "entry": _entry_label(entry, position),
+            "rule": violation.rule.value,
+            "node": violation.node,
+            "detail": violation.detail,
         }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = []
-    for position, (_, report) in enumerate(outcome.results):
-        for violation in report.violations:
-            lines.append(
-                f"{labels[position]}\t{violation.rule.value}\t{violation.node}\t{violation.detail}"
-            )
-    rule_text = " ".join(f"{rule.value} {counts.get(rule, 0)}" for rule in Rule)
+        for position, (entry, report) in enumerate(outcome.results)
+        for violation in report.violations
+    ]
+    payload = {
+        "entries": total,
+        "kept": kept,
+        "discarded": total - kept,
+        "rule_counts": {rule.value: counts.get(rule, 0) for rule in Rule},
+        "violations": violations,
+    }
+    # a TSV row is the JSON object's values, tab-separated
+    lines = ["\t".join(row.values()) for row in violations]
+    rule_text = " ".join(f"{rule} {n}" for rule, n in payload["rule_counts"].items())
     lines.append(f"# entries {total} kept {kept} discarded {total - kept}")
     lines.append(f"# {rule_text}")
-    return "\n".join(lines) + "\n"
+    return _render(fmt, payload, lines)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -272,10 +268,7 @@ def _align_pairs(
             f"cannot pair by position: {len(pred_entries)} predictions vs "
             f"{len(gold_entries)} references (add ::id to both files to pair by id)"
         )
-    labels = [
-        gold.id or f"#{position + 1}"
-        for position, gold in enumerate(gold_entries)
-    ]
+    labels = [_entry_label(gold, position) for position, gold in enumerate(gold_entries)]
     return list(zip(pred_entries, gold_entries)), labels
 
 
@@ -286,31 +279,30 @@ def _score_row(label: str, score: SmatchScore) -> str:
     )
 
 
+def _score_obj(label: Optional[str], score: SmatchScore) -> dict:
+    obj = {} if label is None else {"id": label}
+    obj.update(
+        matched=score.matched,
+        pred_total=score.pred_total,
+        gold_total=score.gold_total,
+        precision=round(score.precision, 4),
+        recall=round(score.recall, 4),
+        f1=round(score.f1, 4),
+    )
+    return obj
+
+
 def _score_report(
     labels: list[str], per_pair: list[SmatchScore], aggregate: SmatchScore, fmt: str
 ) -> str:
-    if fmt == "json":
-        def as_obj(label: Optional[str], score: SmatchScore) -> dict:
-            obj = {} if label is None else {"id": label}
-            obj.update(
-                matched=score.matched,
-                pred_total=score.pred_total,
-                gold_total=score.gold_total,
-                precision=round(score.precision, 4),
-                recall=round(score.recall, 4),
-                f1=round(score.f1, 4),
-            )
-            return obj
-
-        payload = {
-            "pairs": [as_obj(l, s) for l, s in zip(labels, per_pair)],
-            "aggregate": as_obj(None, aggregate),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "pairs": [_score_obj(l, s) for l, s in zip(labels, per_pair)],
+        "aggregate": _score_obj(None, aggregate),
+    }
     lines = ["# id\tmatched\tpred_total\tgold_total\tprecision\trecall\tf1"]
     lines.extend(_score_row(l, s) for l, s in zip(labels, per_pair))
     lines.append(_score_row("ALL", aggregate))
-    return "\n".join(lines) + "\n"
+    return _render(fmt, payload, lines)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -351,17 +343,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     entries = _read_entries(args.input)
     limit = args.k if args.k > 0 else None
     table = top_node_stats(entries, limit)
-    if args.format == "json":
-        payload = {
-            "rows": [[label, count] for label, count in table.rows],
-            "counted": table.counted,
-            "skipped": table.skipped,
-        }
-        _write_text(None, json.dumps(payload, indent=2) + "\n")
-        return 0
+    payload = {
+        "rows": [[label, count] for label, count in table.rows],
+        "counted": table.counted,
+        "skipped": table.skipped,
+    }
     lines = [f"{label}\t{count}" for label, count in table.rows]
     lines.append(f"# counted {table.counted} skipped {table.skipped}")
-    _write_text(None, "\n".join(lines) + "\n")
+    _write_text(None, _render(args.format, payload, lines))
     return 0
 
 
@@ -373,11 +362,9 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise CliError(str(err)) from err
     _write_text(args.train_out, format_amr_document(train, canonical=False))
     _write_text(args.test_out, format_amr_document(test, canonical=False))
-    if args.format == "json":
-        payload = {"train": len(train), "test": len(test)}
-        _write_text(None, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write_text(None, f"train\t{len(train)}\ntest\t{len(test)}\n")
+    payload = {"train": len(train), "test": len(test)}
+    lines = [f"train\t{len(train)}", f"test\t{len(test)}"]
+    _write_text(None, _render(args.format, payload, lines))
     return 0
 
 

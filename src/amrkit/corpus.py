@@ -5,7 +5,9 @@ starting with ``#`` carry ``::key value`` metadata (several keys may share
 a line); the remaining lines are the PENMAN graph.  Entries keep their
 raw text and parse lazily, so a file of broken graphs still loads and the
 failures stay addressable as data; only records with no graph text at
-all, or clashing ``::id`` values, are file-format errors.
+all, or clashing ``::id`` values, are file-format errors.  Filtering
+validates entries through one ordered process-pool map, so its outcome
+is in corpus order for any worker count.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
+from ._parallel import parallel_map
 from .graph import AmrGraph
 from .penman import ParseError, parse, serialize_canonical, strip_wiki
 from .validate import FrameLexicon, Rule, ValidationReport, Violation, validate
@@ -225,31 +228,14 @@ class FilterOutcome:
 
 
 def _validate_one(
-    graph_id: str, text: str, lexicon: FrameLexicon, policy: str
+    lexicon: FrameLexicon, policy: str, item: tuple[str, str]
 ) -> ValidationReport:
+    graph_id, text = item
     try:
         graph = parse(text)
     except ParseError as err:
         return ValidationReport((Violation(Rule.STRUCTURAL, "", str(err)),), graph_id)
     return validate(graph, lexicon, policy, graph_id)
-
-
-# the lexicon and policy are installed once per worker process instead of
-# traveling inside every task
-_worker_lexicon: Optional[FrameLexicon] = None
-_worker_policy: str = "ignore"
-
-
-def _init_worker(lexicon: FrameLexicon, policy: str) -> None:
-    global _worker_lexicon, _worker_policy
-    _worker_lexicon = lexicon
-    _worker_policy = policy
-
-
-def _validate_task(task: tuple[int, str, str]) -> tuple[int, ValidationReport]:
-    index, graph_id, text = task
-    assert _worker_lexicon is not None
-    return index, _validate_one(graph_id, text, _worker_lexicon, _worker_policy)
 
 
 def filter_corpus(
@@ -265,30 +251,12 @@ def filter_corpus(
     in ``jobs`` worker processes; results are returned in corpus order,
     so the outcome is identical for any worker count.
     """
-    reports: list[Optional[ValidationReport]] = [None] * len(entries)
-    if jobs > 1 and len(entries) > 1:
-        tasks = [
-            (index, entry.id or "", entry.graph_text)
-            for index, entry in enumerate(entries)
-        ]
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(lexicon, unknown_frame_policy),
-        ) as pool:
-            for index, report in pool.map(_validate_task, tasks, chunksize=chunk):
-                reports[index] = report
-    else:
-        for index, entry in enumerate(entries):
-            reports[index] = _validate_one(
-                entry.id or "", entry.graph_text, lexicon, unknown_frame_policy
-            )
-    results = []
-    for entry, report in zip(entries, reports):
-        assert report is not None
-        results.append((entry, report))
-    return FilterOutcome(tuple(results))
+    reports = parallel_map(
+        partial(_validate_one, lexicon, unknown_frame_policy),
+        [(entry.id or "", entry.graph_text) for entry in entries],
+        jobs,
+    )
+    return FilterOutcome(tuple(zip(entries, reports)))
 
 
 def _shuffled_indices(count: int, seed: int) -> list[int]:

@@ -146,6 +146,28 @@ class Triple:
             raise ValueError(f"unknown triple kind: {self.kind!r}")
 
 
+def _reachable(root: Variable, edges: Iterable[Edge]) -> set[Variable]:
+    """The variables connected to ``root`` through ``edges``.
+
+    Connectivity ignores edge direction: a variable attached only via an
+    edge it sources (e.g. after deleting its incoming relation) is still
+    part of the graph.
+    """
+    neighbors: dict[Variable, list[Variable]] = {}
+    for edge in edges:
+        if isinstance(edge.target, Variable):
+            neighbors.setdefault(edge.source, []).append(edge.target)
+            neighbors.setdefault(edge.target, []).append(edge.source)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for nxt in neighbors.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 @dataclass(frozen=True)
 class AmrGraph:
     """A rooted AMR graph.
@@ -179,7 +201,7 @@ class AmrGraph:
                     f"expected {expected}"
                 )
             positions[edge.source] = expected + 1
-        unreachable = set(self.instances) - self._connected_from_root()
+        unreachable = set(self.instances) - _reachable(self.root, self.edges)
         if unreachable:
             names = ", ".join(sorted(v.name for v in unreachable))
             raise ValueError(f"variables not connected to root: {names}")
@@ -200,24 +222,6 @@ class AmrGraph:
             counters[source] = idx + 1
             built.append(Edge(source, role, target, idx))
         return cls(root, instances, tuple(built))
-
-    def _connected_from_root(self) -> set[Variable]:
-        # Connectivity ignores edge direction: a variable attached only via
-        # an edge it sources (e.g. after deleting its incoming relation) is
-        # still part of the graph.
-        neighbors: dict[Variable, list[Variable]] = {v: [] for v in self.instances}
-        for edge in self.edges:
-            if isinstance(edge.target, Variable):
-                neighbors[edge.source].append(edge.target)
-                neighbors[edge.target].append(edge.source)
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for nxt in neighbors[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
 
     def variables(self) -> list[Variable]:
         """Variables in definition order."""

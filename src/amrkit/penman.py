@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .graph import _NUMBER_RE, AmrGraph, Concept, Constant, Edge, Variable
+from .graph import _NUMBER_RE, AmrGraph, Concept, Constant, Edge, Variable, _reachable
 
 # Bare (unquoted) attribute values that would otherwise look like variable
 # references: the sentence-mode markers.
@@ -284,18 +284,7 @@ def strip_wiki(graph: AmrGraph) -> AmrGraph:
     kept = [e for e in graph.edges if e.role != WIKI_ROLE]
     if len(kept) == len(graph.edges):
         return graph
-    neighbors: dict[Variable, list[Variable]] = {v: [] for v in graph.instances}
-    for edge in kept:
-        if isinstance(edge.target, Variable):
-            neighbors[edge.source].append(edge.target)
-            neighbors[edge.target].append(edge.source)
-    reach = {graph.root}
-    stack = [graph.root]
-    while stack:
-        for nxt in neighbors[stack.pop()]:
-            if nxt not in reach:
-                reach.add(nxt)
-                stack.append(nxt)
+    reach = _reachable(graph.root, kept)
     return AmrGraph.build(
         graph.root,
         {v: c for v, c in graph.instances.items() if v in reach},

@@ -6,8 +6,9 @@ and F1 are computed over the matched triples.  Finding the best mapping
 is done either exhaustively (small graphs; exact by construction) or by
 steepest-ascent hill-climbing with restarts (the classic approximation).
 
-Scoring is deterministic: the search is seeded, corpus runs derive one
-seed per pair from the pair's position, and results do not depend on how
+Scoring is deterministic: the search is seeded, and corpus runs derive
+one seed per pair from the pair's position and collect per-pair scores
+through one ordered process-pool map, so results do not depend on how
 many worker processes are used.
 """
 
@@ -16,10 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
+from ._parallel import parallel_map
 from .graph import AmrGraph, Triple, Variable
 
 
@@ -43,7 +45,7 @@ class VarMapping:
         return dict(self.pairs)
 
     def get(self, pred_name: str) -> Optional[str]:
-        return self.as_dict().get(pred_name)
+        return next((gold for pred, gold in self.pairs if pred == pred_name), None)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -54,7 +56,7 @@ class SmatchScore:
     """Precision, recall, and F1 plus the counts behind them.
 
     ``from_counts`` derives the ratios and is the constructor for single
-    pairs and micro averages; macro averaging builds instances directly
+    pairs and micro averages; macro averaging replaces the micro ratios
     because averaged ratios no longer equal matched/total.
     """
 
@@ -171,8 +173,10 @@ class _MatchState:
         self.gold = gold_mult
         self.assign = assign
         self.keys = [pred.key(t, assign) for t in pred.templates]
-        self.counts: Counter = Counter(self.keys)
-        self.matched = sum(min(n, gold_mult[k]) for k, n in self.counts.items())
+        self.counts: Counter = Counter()
+        self.matched = 0
+        for key in self.keys:
+            self._add_key(key)
 
     def _remove_key(self, key: tuple) -> None:
         if self.counts[key] <= self.gold[key]:
@@ -212,6 +216,13 @@ def _prepare(pred: AmrGraph, gold: AmrGraph, include_top: bool) -> tuple[_PredSi
     return pred_side, gold_mult
 
 
+def _count(pred: _PredSide, gold_mult: Counter, assign: Sequence[Optional[str]]) -> int:
+    """Matched triples under ``assign``; each reference triple is consumed
+    at most once."""
+    counts = Counter(pred.key(t, assign) for t in pred.templates)
+    return sum(min(n, gold_mult[k]) for k, n in counts.items())
+
+
 def _mapping_from_assign(pred: _PredSide, assign: Sequence[Optional[str]]) -> VarMapping:
     return VarMapping(
         tuple(
@@ -233,9 +244,7 @@ def matched_triples(
     triple can be consumed at most once."""
     pred_side, gold_mult = _prepare(pred, gold, include_top)
     lookup = mapping.as_dict()
-    assign: list[Optional[str]] = [lookup.get(name) for name in pred_side.var_names]
-    counts = Counter(pred_side.key(t, assign) for t in pred_side.templates)
-    return sum(min(n, gold_mult[k]) for k, n in counts.items())
+    return _count(pred_side, gold_mult, [lookup.get(name) for name in pred_side.var_names])
 
 
 def match_exact(
@@ -250,8 +259,7 @@ def match_exact(
     variable count, so graphs whose smaller side exceeds
     ``config.exact_threshold`` are refused.
     """
-    pred_side, gold_mult = _prepare(pred, gold, config.include_top)
-    pred_names = pred_side.var_names
+    pred_names = [v.name for v in pred.variables()]
     gold_names = [v.name for v in gold.variables()]
     smaller = min(len(pred_names), len(gold_names))
     if smaller > config.exact_threshold:
@@ -259,35 +267,23 @@ def match_exact(
             f"exhaustive matching needs a side with at most "
             f"{config.exact_threshold} variables, got {smaller}"
         )
+    # the matched count is symmetric, so the smaller side's variables take
+    # each ordered choice of the larger side's names; ties go to the first
+    swapped = len(pred_names) > len(gold_names)
+    small, large, large_names = (gold, pred, pred_names) if swapped else (pred, gold, gold_names)
+    small_side, large_mult = _prepare(small, large, config.include_top)
     best_count = -1
-    best_assign: list[Optional[str]] = [None] * len(pred_names)
-    if len(pred_names) <= len(gold_names):
-        for chosen in itertools.permutations(gold_names, len(pred_names)):
-            assign = list(chosen)
-            count = sum(
-                min(n, gold_mult[k])
-                for k, n in Counter(
-                    pred_side.key(t, assign) for t in pred_side.templates
-                ).items()
-            )
-            if count > best_count:
-                best_count = count
-                best_assign = assign
-    else:
-        for chosen in itertools.permutations(range(len(pred_names)), len(gold_names)):
-            assign = [None] * len(pred_names)
-            for gold_pos, pred_pos in enumerate(chosen):
-                assign[pred_pos] = gold_names[gold_pos]
-            count = sum(
-                min(n, gold_mult[k])
-                for k, n in Counter(
-                    pred_side.key(t, assign) for t in pred_side.templates
-                ).items()
-            )
-            if count > best_count:
-                best_count = count
-                best_assign = assign
-    return _mapping_from_assign(pred_side, best_assign), best_count
+    best: tuple[str, ...] = ()
+    for chosen in itertools.permutations(large_names, smaller):
+        count = _count(small_side, large_mult, chosen)
+        if count > best_count:
+            best_count = count
+            best = chosen
+    mapped = dict(zip(small_side.var_names, best))
+    if swapped:
+        mapped = {pred_name: gold_name for gold_name, pred_name in mapped.items()}
+    mapping = VarMapping(tuple((name, mapped[name]) for name in pred_names if name in mapped))
+    return mapping, best_count
 
 
 def _greedy_assign(
@@ -403,11 +399,7 @@ def match_hillclimb(
         if state.matched > best_count:
             best_count = state.matched
             best_assign = list(state.assign)
-    mapping = _mapping_from_assign(pred_side, best_assign)
-    # recompute from scratch so the returned count provably belongs to
-    # the returned mapping
-    count = matched_triples(pred, gold, mapping, config.include_top)
-    return mapping, count
+    return _mapping_from_assign(pred_side, best_assign), best_count
 
 
 def score_pair(
@@ -432,16 +424,15 @@ def score_pair(
 
 
 def _score_indexed(
-    task: tuple[int, Optional[AmrGraph], AmrGraph, MatchConfig],
-) -> tuple[int, SmatchScore]:
-    index, pred, gold, config = task
+    config: MatchConfig, task: tuple[int, tuple[Optional[AmrGraph], AmrGraph]]
+) -> SmatchScore:
+    index, (pred, gold) = task
     if pred is None:
         # a missing prediction contributes its reference size to recall
         # and nothing else
         gold_total = len(gold.triples(config.include_top))
-        return index, SmatchScore.from_counts(0, 0, gold_total)
-    pair_config = replace(config, seed=config.seed ^ index)
-    return index, score_pair(pred, gold, pair_config)
+        return SmatchScore.from_counts(0, 0, gold_total)
+    return score_pair(pred, gold, replace(config, seed=config.seed ^ index))
 
 
 def score_corpus(
@@ -460,32 +451,18 @@ def score_corpus(
     The aggregate is the micro average (pooled counts) by default, or the
     arithmetic mean of per-pair ratios with ``macro``.
     """
-    tasks = [(i, pred, gold, config) for i, (pred, gold) in enumerate(pairs)]
-    per_pair: list[Optional[SmatchScore]] = [None] * len(tasks)
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, score in pool.map(_score_indexed, tasks, chunksize=chunk):
-                per_pair[index] = score
-    else:
-        for task in tasks:
-            index, score = _score_indexed(task)
-            per_pair[index] = score
-    scores = [s for s in per_pair if s is not None]
-    assert len(scores) == len(tasks)
-    matched = sum(s.matched for s in scores)
-    pred_total = sum(s.pred_total for s in scores)
-    gold_total = sum(s.gold_total for s in scores)
+    scores = parallel_map(partial(_score_indexed, config), list(enumerate(pairs)), jobs)
+    aggregate = SmatchScore.from_counts(
+        sum(s.matched for s in scores),
+        sum(s.pred_total for s in scores),
+        sum(s.gold_total for s in scores),
+    )
     if macro:
         n = len(scores) or 1
-        aggregate = SmatchScore(
+        aggregate = replace(
+            aggregate,
             precision=sum(s.precision for s in scores) / n,
             recall=sum(s.recall for s in scores) / n,
             f1=sum(s.f1 for s in scores) / n,
-            matched=matched,
-            pred_total=pred_total,
-            gold_total=gold_total,
         )
-    else:
-        aggregate = SmatchScore.from_counts(matched, pred_total, gold_total)
     return aggregate, scores

@@ -4,6 +4,7 @@ pair and corpus scores."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from amrkit import (
     strip_wiki,
 )
 from genutil import WANT_GO_PRETTY, random_graph, rename_variables
+from oracles.smatch_exact import match_exact_two_loops
 
 
 def figure():
@@ -51,6 +53,12 @@ class TestVarMapping:
         assert mapping.get("a") == "x"
         assert mapping.get("zz") is None
         assert len(mapping) == 2
+
+    def test_get_missing_name(self):
+        mapping = VarMapping((("a", "x"), ("b", "y")))
+        # a reference name is not a predicted name
+        assert mapping.get("x") is None
+        assert VarMapping(()).get("a") is None
 
     def test_duplicate_pred_rejected(self):
         with pytest.raises(ValueError, match="one-to-one"):
@@ -204,6 +212,56 @@ class TestMatchExact:
         # unmapped predicted variables stay out of the mapping
         assert len(mapping) == 1
         assert matched_triples(pred, gold, mapping) == count
+
+
+def _size_class(pred: AmrGraph, gold: AmrGraph) -> str:
+    n_pred, n_gold = len(pred.variables()), len(gold.variables())
+    return "pred smaller" if n_pred < n_gold else "gold smaller" if n_pred > n_gold else "equal"
+
+
+class TestExactOracle:
+    """``match_exact`` against the two-loop search it replaced, and the
+    returned counts against a recount of the returned mappings."""
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_same_mapping_and_count_as_oracle(self, include_top):
+        rng = random.Random(505)
+        config = MatchConfig(include_top=include_top)
+        per_class = 40
+        seen: Counter = Counter()
+        while len(seen) < 3 or min(seen.values()) < per_class:
+            pred, gold = random_graph(rng, 6), random_graph(rng, 6)
+            if rng.random() < 0.25:
+                # a renamed copy has many tied optima
+                pred = rename_variables(gold, rng)
+            size_class = _size_class(pred, gold)
+            if seen[size_class] >= per_class:
+                continue
+            seen[size_class] += 1
+            assert match_exact(pred, gold, config) == match_exact_two_loops(pred, gold, config)
+
+    def test_oracle_refuses_like_match_exact(self):
+        graph = parse("( a / x :mod ( b / y ) :poss ( c / z ) )")
+        config = MatchConfig(exact_threshold=2)
+        for search in (match_exact, match_exact_two_loops):
+            with pytest.raises(ValueError, match="at most 2 variables"):
+                search(graph, graph, config)
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_counts_belong_to_mappings(self, include_top):
+        rng = random.Random(606)
+        config = MatchConfig(restarts=2, include_top=include_top, seed=11)
+        for _ in range(20):
+            pred, gold = random_graph(rng, 15), random_graph(rng, 15)
+            if rng.random() < 0.3:
+                pred = rename_variables(gold, rng)
+            mapping, count = match_hillclimb(pred, gold, config)
+            assert matched_triples(pred, gold, mapping, include_top) == count
+            # one small side keeps the exhaustive search cheap
+            small = random_graph(rng, 3)
+            for left, right in ((small, gold), (gold, small)):
+                mapping, count = match_exact(left, right, config)
+                assert matched_triples(left, right, mapping, include_top) == count
 
 
 class TestMatchHillclimb:
