@@ -72,12 +72,13 @@ def _entry_label(entry: CorpusEntry, position: int) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument(
-        "--format", choices=("tsv", "json"), default="tsv", help="report format"
-    )
+    # each subcommand takes only the shared options its handler reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("tsv", "json"), default="tsv", help="report format")
 
     parser = argparse.ArgumentParser(
         prog="amrkit", description="Work with AMR graphs in PENMAN notation."
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "canonicalize",
-        parents=[common],
         help="rewrite graphs in canonical single-line form",
     )
     p.add_argument("input", help="corpus file or - for stdin")
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_canonicalize)
 
     p = sub.add_parser(
-        "validate", parents=[common], help="run quality checks over a corpus"
+        "validate", parents=[jobs, fmt], help="run quality checks over a corpus"
     )
     p.add_argument("input", help="corpus file or - for stdin")
     p.add_argument("--lexicon", help="frame lexicon TSV (defaults to the bundled one)")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser(
-        "score", parents=[common], help="Smatch predictions against references"
+        "score", parents=[seed, jobs, fmt], help="Smatch predictions against references"
     )
     p.add_argument("pred", help="predictions corpus file or -")
     p.add_argument("gold", help="references corpus file")
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser(
-        "stats", parents=[common], help="frequency table of root concepts"
+        "stats", parents=[fmt], help="frequency table of root concepts"
     )
     p.add_argument("input", help="corpus file or - for stdin")
     p.add_argument(
@@ -151,14 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("split", parents=[common], help="seeded train/test split")
+    p = sub.add_parser("split", parents=[seed, fmt], help="seeded train/test split")
     p.add_argument("input", help="corpus file or - for stdin")
     p.add_argument("--test-size", type=int, required=True, help="entries in the test half")
     p.add_argument("--train-out", required=True, help="file for the train half")
     p.add_argument("--test-out", required=True, help="file for the test half")
     p.set_defaults(handler=cmd_split)
 
-    p = sub.add_parser("sample", parents=[common], help="seeded subset of a corpus")
+    p = sub.add_parser("sample", parents=[seed], help="seeded subset of a corpus")
     p.add_argument("input", help="corpus file or - for stdin")
     p.add_argument("-n", "--size", type=int, required=True, help="entries to draw")
     p.add_argument("-o", "--output", default="-", help="output file, - for stdout")

@@ -65,7 +65,8 @@ class CorpusEntry:
             try:
                 result = (parse(self.graph_text), None)
             except ParseError as err:
-                result = (None, err)
+                # drop the traceback: its frames would tie callers' locals into a cycle
+                result = (None, err.with_traceback(None))
             object.__setattr__(self, "_cache", result)
         return self._cache
 

@@ -2,9 +2,13 @@
 
 Both graphs are decomposed into triples, predicted variables are aligned
 to reference variables by an injective mapping, and precision, recall,
-and F1 are computed over the matched triples.  Finding the best mapping
-is done either exhaustively (small graphs; exact by construction) or by
-steepest-ascent hill-climbing with restarts (the classic approximation).
+and F1 are computed over the matched triples.  One weight table per pair
+of graphs gives every mapping's matched count as a sum of terms, one per
+variable choice and one per linked pair of choices (the design of
+reference Smatch).  The best mapping is found through that table either
+exhaustively (small graphs; exact by construction) or by steepest-ascent
+hill-climbing with restarts, which scores a trial move by the terms of
+the variables it moves.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
 one seed per pair from the pair's position and collect per-pair scores
@@ -19,10 +23,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._parallel import parallel_map
-from .graph import AmrGraph, Triple, Variable
+from .graph import TOP_MARKER, TOP_ROLE, AmrGraph, Constant
 
 
 @dataclass(frozen=True)
@@ -104,133 +108,98 @@ class MatchConfig:
             raise ValueError("exact_threshold cannot be negative")
 
 
-# Triple keys: instance ("i", var, label), attribute ("a", var, role, text),
-# relation ("r", var, role, var).  Variable slots hold reference names on
-# the reference side and mapped reference names (or None) on the predicted
-# side, so equal keys mean the triples match under the current mapping.
+def _facts(
+    graph: AmrGraph, include_top: bool
+) -> tuple[dict[str, Counter], dict[tuple[str, str], Counter]]:
+    """The graph's triples grouped by the variables they touch.
 
-
-def _gold_keys(triples: Iterable[Triple]) -> Counter:
-    keys: Counter = Counter()
-    for t in triples:
-        if t.kind == "instance":
-            keys[("i", t.source.name, str(t.target))] += 1
-        elif t.kind == "attribute":
-            keys[("a", t.source.name, t.label, str(t.target))] += 1
+    Per variable name (in definition order): a Counter of its instance,
+    attribute, self-loop and root-marker facts.  Per ordered pair of
+    distinct variable names: a Counter of the roles of the relations from
+    the first to the second.
+    """
+    unary = {
+        var.name: Counter({("i", concept.label): 1}) for var, concept in graph.instances.items()
+    }
+    binary: dict[tuple[str, str], Counter] = {}
+    for edge in graph.edges:
+        source = edge.source.name
+        if isinstance(edge.target, Constant):
+            unary[source][("a", edge.role, str(edge.target))] += 1
+        elif edge.target == edge.source:
+            unary[source][("r", edge.role)] += 1
         else:
-            assert isinstance(t.target, Variable)
-            keys[("r", t.source.name, t.label, t.target.name)] += 1
-    return keys
+            binary.setdefault((source, edge.target.name), Counter())[edge.role] += 1
+    if include_top:
+        unary[graph.root.name][("a", TOP_ROLE, str(TOP_MARKER))] += 1
+    return unary, binary
 
 
-class _PredSide:
-    """The predicted graph prepared for fast re-keying under a changing
-    variable assignment."""
-
-    def __init__(self, triples: Sequence[Triple], variables: Sequence[Variable]):
-        self.var_index = {v.name: i for i, v in enumerate(variables)}
-        self.var_names = [v.name for v in variables]
-        self.templates: list[tuple] = []
-        # template: like a key but with variable slots as pred indices
-        for t in triples:
-            if t.kind == "instance":
-                self.templates.append(("i", self.var_index[t.source.name], str(t.target)))
-            elif t.kind == "attribute":
-                self.templates.append(("a", self.var_index[t.source.name], t.label, str(t.target)))
-            else:
-                assert isinstance(t.target, Variable)
-                self.templates.append(
-                    ("r", self.var_index[t.source.name], t.label, self.var_index[t.target.name])
-                )
-        self.touching: list[list[int]] = [[] for _ in variables]
-        for idx, template in enumerate(self.templates):
-            seen = set()
-            for slot in self._var_slots(template):
-                if slot not in seen:
-                    seen.add(slot)
-                    self.touching[slot].append(idx)
-
-    @staticmethod
-    def _var_slots(template: tuple) -> tuple[int, ...]:
-        if template[0] == "r":
-            return (template[1], template[3])
-        return (template[1],)
-
-    def key(self, template: tuple, assign: list[Optional[str]]) -> tuple:
-        if template[0] == "r":
-            return ("r", assign[template[1]], template[2], assign[template[3]])
-        if template[0] == "a":
-            return ("a", assign[template[1]], template[2], template[3])
-        return ("i", assign[template[1]], template[2])
+def _overlap(pred: dict, gold: dict) -> dict[object, Counter]:
+    """For each predicted group of facts, how many facts each reference
+    group shares with it; a shared fact counts the smaller of its two
+    multiplicities."""
+    by_fact: dict = {}
+    for gold_key, facts in gold.items():
+        for fact, m in facts.items():
+            by_fact.setdefault(fact, []).append((gold_key, m))
+    shared: dict[object, Counter] = {}
+    for key, facts in pred.items():
+        weights = shared[key] = Counter()
+        for fact, n in facts.items():
+            for gold_key, m in by_fact.get(fact, ()):
+                weights[gold_key] += min(n, m)
+    return shared
 
 
-class _MatchState:
-    """Current assignment plus the matched-triple count, maintained
-    incrementally as variables are re-assigned."""
+class _Weights:
+    """The matched-triple count of a mapping, split into table terms.
 
-    def __init__(self, pred: _PredSide, gold_mult: Counter, assign: list[Optional[str]]):
-        self.pred = pred
-        self.gold = gold_mult
-        self.assign = assign
-        self.keys = [pred.key(t, assign) for t in pred.templates]
-        self.counts: Counter = Counter()
-        self.matched = 0
-        for key in self.keys:
-            self._add_key(key)
+    ``unary[i][a]`` counts the triples of predicted variable ``i`` alone
+    that match when it maps to reference variable ``a``.  ``pairs`` holds
+    ``(i, j, table)`` for predicted variables ``i != j`` with relations
+    from ``i`` to ``j``, where ``table[(a, b)]`` counts those that match
+    under ``i -> a`` and ``j -> b``.  ``links[i]`` lists every table that
+    involves ``i`` as ``(j, table keyed (name for i, name for j))``.
+    Each term is the minimum of the two multiplicities, and under a
+    one-to-one mapping no two terms share a reference triple, so the sum
+    of the terms is the matched count.
+    """
 
-    def _remove_key(self, key: tuple) -> None:
-        if self.counts[key] <= self.gold[key]:
-            self.matched -= 1
-        self.counts[key] -= 1
-        if not self.counts[key]:
-            del self.counts[key]
-
-    def _add_key(self, key: tuple) -> None:
-        if self.counts[key] < self.gold[key]:
-            self.matched += 1
-        self.counts[key] += 1
-
-    def _rekey(self, touched: Iterable[int]) -> None:
-        for idx in touched:
-            self._remove_key(self.keys[idx])
-        for idx in touched:
-            key = self.pred.key(self.pred.templates[idx], self.assign)
-            self._add_key(key)
-            self.keys[idx] = key
-
-    def set_var(self, var: int, gold_name: Optional[str]) -> None:
-        self.assign[var] = gold_name
-        self._rekey(self.pred.touching[var])
-
-    def swap_vars(self, a: int, b: int) -> None:
-        self.assign[a], self.assign[b] = self.assign[b], self.assign[a]
-        touched = self.pred.touching[a] + [
-            t for t in self.pred.touching[b] if t not in self.pred.touching[a]
+    def __init__(self, pred: AmrGraph, gold: AmrGraph, include_top: bool):
+        pred_unary, pred_binary = _facts(pred, include_top)
+        gold_unary, gold_binary = _facts(gold, include_top)
+        self.names = list(pred_unary)
+        self.unary = list(_overlap(pred_unary, gold_unary).values())
+        index = {name: i for i, name in enumerate(self.names)}
+        self.pairs = [
+            (index[p], index[q], table)
+            for (p, q), table in _overlap(pred_binary, gold_binary).items()
+            if table
         ]
-        self._rekey(touched)
+        self.links: list[list[tuple[int, dict]]] = [[] for _ in self.names]
+        for i, j, table in self.pairs:
+            self.links[i].append((j, table))
+            self.links[j].append((i, {(b, a): n for (a, b), n in table.items()}))
 
+    def count(self, assign: Sequence[Optional[str]]) -> int:
+        """Matched triples when predicted variable ``i`` maps to
+        ``assign[i]`` (``None`` leaves it unmapped)."""
+        total = sum(weights.get(name, 0) for weights, name in zip(self.unary, assign))
+        for i, j, table in self.pairs:
+            total += table.get((assign[i], assign[j]), 0)
+        return total
 
-def _prepare(pred: AmrGraph, gold: AmrGraph, include_top: bool) -> tuple[_PredSide, Counter]:
-    pred_side = _PredSide(pred.triples(include_top), pred.variables())
-    gold_mult = _gold_keys(gold.triples(include_top))
-    return pred_side, gold_mult
-
-
-def _count(pred: _PredSide, gold_mult: Counter, assign: Sequence[Optional[str]]) -> int:
-    """Matched triples under ``assign``; each reference triple is consumed
-    at most once."""
-    counts = Counter(pred.key(t, assign) for t in pred.templates)
-    return sum(min(n, gold_mult[k]) for k, n in counts.items())
-
-
-def _mapping_from_assign(pred: _PredSide, assign: Sequence[Optional[str]]) -> VarMapping:
-    return VarMapping(
-        tuple(
-            (pred.var_names[i], gold_name)
-            for i, gold_name in enumerate(assign)
-            if gold_name is not None
-        )
-    )
+    def touching(self, assign: Sequence[Optional[str]], moved: tuple[int, ...]) -> int:
+        """The terms of ``count(assign)`` that involve a variable in ``moved``."""
+        total = 0
+        for i in moved:
+            name = assign[i]
+            total += self.unary[i].get(name, 0)
+            for j, table in self.links[i]:
+                if j > i or j not in moved:
+                    total += table.get((name, assign[j]), 0)
+        return total
 
 
 def matched_triples(
@@ -242,9 +211,9 @@ def matched_triples(
     """Count the triples of ``pred`` that match a triple of ``gold`` when
     predicted variables are renamed through ``mapping``.  Each reference
     triple can be consumed at most once."""
-    pred_side, gold_mult = _prepare(pred, gold, include_top)
+    weights = _Weights(pred, gold, include_top)
     lookup = mapping.as_dict()
-    return _count(pred_side, gold_mult, [lookup.get(name) for name in pred_side.var_names])
+    return weights.count([lookup.get(name) for name in weights.names])
 
 
 def match_exact(
@@ -271,43 +240,34 @@ def match_exact(
     # each ordered choice of the larger side's names; ties go to the first
     swapped = len(pred_names) > len(gold_names)
     small, large, large_names = (gold, pred, pred_names) if swapped else (pred, gold, gold_names)
-    small_side, large_mult = _prepare(small, large, config.include_top)
+    weights = _Weights(small, large, config.include_top)
     best_count = -1
     best: tuple[str, ...] = ()
     for chosen in itertools.permutations(large_names, smaller):
-        count = _count(small_side, large_mult, chosen)
+        count = weights.count(chosen)
         if count > best_count:
             best_count = count
             best = chosen
-    mapped = dict(zip(small_side.var_names, best))
+    mapped = dict(zip(weights.names, best))
     if swapped:
         mapped = {pred_name: gold_name for gold_name, pred_name in mapped.items()}
     mapping = VarMapping(tuple((name, mapped[name]) for name in pred_names if name in mapped))
     return mapping, best_count
 
 
-def _greedy_assign(
-    pred: AmrGraph, gold: AmrGraph, pred_side: _PredSide
-) -> list[Optional[str]]:
+def _greedy_assign(pred: AmrGraph, gold: AmrGraph) -> list[Optional[str]]:
     # seed by concept: give each predicted variable the first free
     # reference variable carrying the same concept, then fill leftovers
     gold_by_concept: dict[str, list[str]] = {}
-    for var in gold.variables():
-        gold_by_concept.setdefault(gold.instances[var].label, []).append(var.name)
-    taken: set[str] = set()
-    assign: list[Optional[str]] = [None] * len(pred_side.var_names)
-    for i, name in enumerate(pred_side.var_names):
-        label = pred.instances[Variable(name)].label
-        for candidate in gold_by_concept.get(label, ()):
-            if candidate not in taken:
-                assign[i] = candidate
-                taken.add(candidate)
-                break
-    free = [v.name for v in gold.variables() if v.name not in taken]
-    for i in range(len(assign)):
-        if assign[i] is None and free:
-            assign[i] = free.pop(0)
-    return assign
+    for var, concept in gold.instances.items():
+        gold_by_concept.setdefault(concept.label, []).append(var.name)
+    assign: list[Optional[str]] = []
+    for concept in pred.instances.values():
+        candidates = gold_by_concept.get(concept.label)
+        assign.append(candidates.pop(0) if candidates else None)
+    taken = set(assign)
+    free = iter([v.name for v in gold.variables() if v.name not in taken])
+    return [name if name is not None else next(free, None) for name in assign]
 
 
 def _random_assign(
@@ -323,53 +283,43 @@ def _random_assign(
     return assign
 
 
-def _climb(state: _MatchState, gold_names: list[str]) -> None:
+def _reassign(
+    assign: list[Optional[str]], i: int, name: Optional[str], holder: Optional[int]
+) -> None:
+    # variable i takes ``name``; its holder, if any, takes i's old name,
+    # so calling again with i's old name undoes the move
+    if holder is not None:
+        assign[holder] = assign[i]
+    assign[i] = name
+
+
+def _climb(weights: _Weights, assign: list[Optional[str]], gold_names: list[str]) -> int:
     """Steepest ascent: repeatedly take the single re-assignment or swap
-    that raises the matched count the most, until none does."""
-    owner: dict[str, int] = {}
-    for i, name in enumerate(state.assign):
-        if name is not None:
-            owner[name] = i
+    that raises the matched count the most, until none does.  Each trial
+    move is scored by the table terms of the variables it moves.  Returns
+    the final matched count."""
+    matched = weights.count(assign)
     while True:
+        owner = {name: i for i, name in enumerate(assign) if name is not None}
         best_gain = 0
-        best_move: Optional[tuple] = None
-        before = state.matched
-        for i in range(len(state.assign)):
-            current = state.assign[i]
+        best_move: Optional[tuple[int, str, Optional[int]]] = None
+        for i, current in enumerate(assign):
             for gold_name in gold_names:
                 if gold_name == current:
                     continue
                 holder = owner.get(gold_name)
-                if holder is None:
-                    state.set_var(i, gold_name)
-                    gain = state.matched - before
-                    state.set_var(i, current)
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_move = ("set", i, gold_name)
-                elif holder != i:
-                    state.swap_vars(i, holder)
-                    gain = state.matched - before
-                    state.swap_vars(i, holder)
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_move = ("swap", i, holder)
+                moved = (i,) if holder is None else (i, holder)
+                before = weights.touching(assign, moved)
+                _reassign(assign, i, gold_name, holder)
+                gain = weights.touching(assign, moved) - before
+                _reassign(assign, i, current, holder)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = (i, gold_name, holder)
         if best_move is None:
-            return
-        if best_move[0] == "set":
-            _, i, gold_name = best_move
-            if state.assign[i] is not None:
-                del owner[state.assign[i]]
-            state.set_var(i, gold_name)
-            owner[gold_name] = i
-        else:
-            _, i, holder = best_move
-            name_i, name_h = state.assign[i], state.assign[holder]
-            state.swap_vars(i, holder)
-            if name_i is not None:
-                owner[name_i] = holder
-            if name_h is not None:
-                owner[name_h] = i
+            return matched
+        _reassign(assign, *best_move)
+        matched += best_gain
 
 
 def match_hillclimb(
@@ -384,22 +334,22 @@ def match_hillclimb(
     the best mapping found and its matched count; the count is a lower
     bound on the exact optimum and is deterministic for a given config.
     """
-    pred_side, gold_mult = _prepare(pred, gold, config.include_top)
+    weights = _Weights(pred, gold, config.include_top)
     gold_names = [v.name for v in gold.variables()]
     rng = random.Random(config.seed)
     best_count = -1
-    best_assign: list[Optional[str]] = [None] * len(pred_side.var_names)
+    best_assign: list[Optional[str]] = [None] * len(weights.names)
     for attempt in range(config.restarts):
         if attempt == 0:
-            assign = _greedy_assign(pred, gold, pred_side)
+            assign = _greedy_assign(pred, gold)
         else:
-            assign = _random_assign(len(pred_side.var_names), gold_names, rng)
-        state = _MatchState(pred_side, gold_mult, assign)
-        _climb(state, gold_names)
-        if state.matched > best_count:
-            best_count = state.matched
-            best_assign = list(state.assign)
-    return _mapping_from_assign(pred_side, best_assign), best_count
+            assign = _random_assign(len(weights.names), gold_names, rng)
+        matched = _climb(weights, assign, gold_names)
+        if matched > best_count:
+            best_count = matched
+            best_assign = assign
+    pairs = zip(weights.names, best_assign)
+    return VarMapping(tuple((name, gold) for name, gold in pairs if gold is not None)), best_count
 
 
 def score_pair(
@@ -412,9 +362,7 @@ def score_pair(
     Uses the exhaustive search when both variable counts are within
     ``config.exact_threshold``, hill-climbing otherwise.
     """
-    n_pred = len(pred.variables())
-    n_gold = len(gold.variables())
-    if max(n_pred, n_gold) <= config.exact_threshold:
+    if max(len(pred.instances), len(gold.instances)) <= config.exact_threshold:
         _, matched = match_exact(pred, gold, config)
     else:
         _, matched = match_hillclimb(pred, gold, config)

@@ -39,10 +39,10 @@ NUMBER_VALUES = ["12", "3.5", "-7", "0.25", "2e3"]
 SYMBOL_VALUES = ["-", "+", "1st", "imperative", "expressive", "interrogative"]
 
 
-def random_graph(rng: random.Random, max_vars: int = 15) -> AmrGraph:
+def random_graph(rng: random.Random, max_vars: int = 15, min_vars: int = 1) -> AmrGraph:
     """A random valid graph: a random tree for rooted reachability, plus
     extra variable edges (reentrancy, cycles) and constant edges."""
-    count = rng.randint(1, max_vars)
+    count = rng.randint(min_vars, max_vars)
     variables = [Variable(f"v{i}") for i in range(count)]
     instances = {v: Concept(rng.choice(CONCEPTS)) for v in variables}
     edges: list[tuple[Variable, str, object]] = []

@@ -396,6 +396,31 @@ class TestUsage:
             main(["split", path])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "{path}", "--jobs", "2"],
+            ["canonicalize", "{path}", "--format", "json"],
+            ["canonicalize", "{path}", "--seed", "3"],
+            ["sample", "{path}", "-n", "1", "--format", "json"],
+        ],
+    )
+    def test_option_a_command_does_not_read_is_refused(self, corpus_file, capsys, argv):
+        path = corpus_file("in.amr", FIGURE_RECORD)
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(path=path) for arg in argv])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "score"])
+    def test_jobs_below_one_is_refused(self, corpus_file, capsys, command):
+        path = corpus_file("in.amr", FIGURE_RECORD)
+        inputs = [path, path] if command == "score" else [path]
+        assert main([command, *inputs, "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "amrkit: --jobs must be at least 1\n"
+        assert captured.out == ""
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, corpus_file):

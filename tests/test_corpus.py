@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from amrkit import (
@@ -108,6 +111,26 @@ class TestLazyParsing:
         assert bad.graph is None
         assert isinstance(bad.parse_error, ParseError)
         assert bad.parse_error is bad.parse_error
+
+    def test_failure_keeps_no_reference_cycle(self):
+        # a cached error that kept its traceback would hold the frames that
+        # parsed it, and through them the caller's entries and graphs, until
+        # the cyclic garbage collector ran
+        def first_error(entries):
+            return entries[0].parse_error
+
+        text = corpus_text([("bad", STRUCTURAL_BAD), ("good", "( x / boy )")])
+        entries = entries_from_text(text)
+        probe = weakref.ref(entries[1])
+        gc.disable()
+        try:
+            error = first_error(entries)
+            del entries
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert error.__traceback__ is None
+        assert error.diagnostics
 
 
 class TestFormatErrors:

@@ -7,9 +7,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrkit import (
     AmrGraph,
+    Concept,
+    Constant,
     MatchConfig,
     SmatchScore,
     VarMapping,
@@ -22,7 +26,8 @@ from amrkit import (
     score_pair,
     strip_wiki,
 )
-from genutil import WANT_GO_PRETTY, random_graph, rename_variables
+from genutil import CONCEPTS, ROLES, WANT_GO_PRETTY, random_graph, rename_variables
+from oracles.smatch_climb import match_hillclimb_rekeyed
 from oracles.smatch_exact import match_exact_two_loops
 
 
@@ -262,6 +267,195 @@ class TestExactOracle:
             for left, right in ((small, gold), (gold, small)):
                 mapping, count = match_exact(left, right, config)
                 assert matched_triples(left, right, mapping, include_top) == count
+
+
+def near_copy(graph: AmrGraph, rng: random.Random, changes: int = 3) -> AmrGraph:
+    """A renamed copy of ``graph`` with ``changes`` concepts replaced and
+    about one role in ten redrawn: close to ``graph`` but not equal."""
+    renamed = rename_variables(graph, rng)
+    instances = dict(renamed.instances)
+    for var in rng.sample(list(instances), min(changes, len(instances))):
+        instances[var] = Concept(rng.choice(CONCEPTS))
+    edges = [
+        (e.source, rng.choice(ROLES) if rng.random() < 0.1 else e.role, e.target)
+        for e in renamed.edges
+    ]
+    return AmrGraph.build(renamed.root, instances, edges)
+
+
+class TestClimbOracle:
+    """``match_hillclimb`` against the triple-keyed climb it replaced: the
+    same moves in the same order with the same tie-breaks, so the same
+    mapping and count."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_same_mapping_and_count_as_oracle(self, include_top, seed):
+        rng = random.Random(2 * seed + include_top)
+        config = MatchConfig(restarts=2, include_top=include_top, seed=seed)
+        # unrelated pairs tie often, so they check the tie-breaks
+        for kind in ("near", "far", "far") * 2:
+            gold = random_graph(rng, 25, min_vars=9)
+            if kind == "near":
+                pred = near_copy(gold, rng)
+            else:
+                pred = random_graph(rng, 25, min_vars=9)
+            result = match_hillclimb(pred, gold, config)
+            assert result == match_hillclimb_rekeyed(pred, gold, config), kind
+            assert matched_triples(pred, gold, result[0], include_top) == result[1]
+
+
+# Hand-built pairs whose triples repeat or coincide: (pred, gold, the
+# exact optimum with the root marker, the exact optimum without it).
+MULTIPLICITY_CASES = {
+    "duplicate relation in pred": (
+        "( a / x :op1 ( b / y ) :op1 b )", "( a / x :op1 ( b / y ) )", 4, 3,
+    ),
+    "duplicate relation on both sides": (
+        "( a / x :op1 ( b / y ) :op1 b )", "( p / x :op1 ( q / y ) :op1 q )", 5, 4,
+    ),
+    "duplicate relation in gold": (
+        "( a / x :op1 ( b / y ) )", "( p / x :op1 ( q / y ) :op1 q )", 4, 3,
+    ),
+    "duplicated attribute": ("( a / x :polarity - :polarity - )", "( p / x :polarity - )", 3, 2),
+    "duplicated attribute on both sides": (
+        "( a / x :polarity - :polarity - )", "( p / x :polarity - :polarity - )", 4, 3,
+    ),
+    "self-loop": ("( a / x :ARG0 a )", "( p / x :ARG0 p )", 3, 2),
+    "self-loop against a relation": ("( a / x :ARG0 a )", "( p / x :ARG0 ( q / x ) )", 2, 1),
+    "relation against a self-loop": ("( p / x :ARG0 ( q / x ) )", "( a / x :ARG0 a )", 2, 1),
+    "user top attribute next to the root marker": (
+        "( a / x :top <TOP> )", "( p / x )", 2, 1,
+    ),
+    "user top attribute on both sides": ("( a / x :top <TOP> )", "( p / x :top <TOP> )", 3, 2),
+    "user top attribute off the root": (
+        "( a / x :ARG0 ( b / y :top <TOP> ) )", "( p / x :ARG0 ( q / y :top <TOP> ) )", 5, 4,
+    ),
+    "pred side larger": (
+        "( a / x :ARG0 ( b / y ) :ARG1 ( c / z :mod b ) )", "( p / y :mod ( q / z ) )", 2, 2,
+    ),
+    "pred side larger with a relation left": (
+        "( a / x :ARG0 ( b / y :mod ( c / z ) ) )", "( p / y :mod ( q / z ) )", 3, 3,
+    ),
+}
+
+
+class TestMultiplicity:
+    """Repeated and coinciding triples must be counted the same by the
+    weight tables, both oracles and ``matched_triples``."""
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    @pytest.mark.parametrize("case", sorted(MULTIPLICITY_CASES))
+    def test_hand_case(self, case, include_top):
+        pred_text, gold_text, with_top, without_top = MULTIPLICITY_CASES[case]
+        pred, gold = parse(pred_text), parse(gold_text)
+        config = MatchConfig(include_top=include_top, seed=4)
+        expected = with_top if include_top else without_top
+        for left, right in ((pred, gold), (gold, pred)):
+            exact = match_exact(left, right, config)
+            assert exact == match_exact_two_loops(left, right, config)
+            assert exact[1] == expected
+            assert matched_triples(left, right, exact[0], include_top) == expected
+            climbed = match_hillclimb(left, right, config)
+            assert climbed == match_hillclimb_rekeyed(left, right, config)
+            assert matched_triples(left, right, climbed[0], include_top) == climbed[1]
+
+    def test_identity_counts_every_repeat(self):
+        graph = parse("( a / x :op1 ( b / y ) :op1 b :polarity - :polarity - :ARG0 a :top <TOP> )")
+        identity = identity_mapping(graph)
+        assert matched_triples(graph, graph, identity) == len(graph.triples(True)) == 9
+        assert matched_triples(graph, graph, identity, include_top=False) == 8
+
+
+@st.composite
+def small_graphs(draw, max_vars: int = 6) -> AmrGraph:
+    """Graphs of at most ``max_vars`` variables over few concepts and
+    roles, so that triples coincide often; extra edges may repeat a
+    relation or close a self-loop."""
+    count = draw(st.integers(1, max_vars))
+    variables = [Variable(f"v{i}") for i in range(count)]
+    concepts = st.sampled_from(CONCEPTS[:4])
+    roles = st.sampled_from(ROLES[:3])
+    positions = st.integers(0, count - 1)
+    instances = {v: Concept(draw(concepts)) for v in variables}
+    edges: list = [
+        (variables[draw(st.integers(0, i - 1))], draw(roles), variables[i])
+        for i in range(1, count)
+    ]
+    for source, role, target in draw(st.lists(st.tuples(positions, roles, positions), max_size=3)):
+        edges.append((variables[source], role, variables[target]))
+    for source, role, value in draw(
+        st.lists(st.tuples(positions, roles, st.sampled_from(["-", "+"])), max_size=2)
+    ):
+        edges.append((variables[source], role, Constant(value, "symbol")))
+    return AmrGraph.build(variables[0], instances, edges)
+
+
+def shuffled_renamed(graph: AmrGraph, rng: random.Random) -> AmrGraph:
+    """The same graph under a random variable renaming, edges in a random order."""
+    renamed = rename_variables(graph, rng, prefix="r")
+    edges = [(e.source, e.role, e.target) for e in renamed.edges]
+    rng.shuffle(edges)
+    return AmrGraph.build(renamed.root, dict(renamed.instances), edges)
+
+
+class TestSmatchProperties:
+    """Metamorphic properties of the exact optimum on small graphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pred=small_graphs(), gold=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_renaming_and_edge_order_keep_the_count(self, pred, gold, seed):
+        rng = random.Random(seed)
+        config = MatchConfig(include_top=seed % 2 == 0)
+        _, count = match_exact(pred, gold, config)
+        assert match_exact(shuffled_renamed(pred, rng), gold, config)[1] == count
+        assert match_exact(pred, shuffled_renamed(gold, rng), config)[1] == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(pred=small_graphs(), gold=small_graphs(), include_top=st.booleans())
+    def test_swapping_sides_swaps_precision_and_recall(self, pred, gold, include_top):
+        config = MatchConfig(include_top=include_top)
+        forward, backward = score_pair(pred, gold, config), score_pair(gold, pred, config)
+        assert (forward.precision, forward.recall) == (backward.recall, backward.precision)
+        assert forward.matched == backward.matched
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pred=small_graphs(),
+        gold=small_graphs(),
+        edge=st.tuples(st.integers(0, 5), st.sampled_from(ROLES[:3]), st.integers(-1, 5)),
+        include_top=st.booleans(),
+    )
+    def test_one_more_pred_edge_raises_the_optimum_by_at_most_one(
+        self, pred, gold, edge, include_top
+    ):
+        variables = pred.variables()
+        source, role, target = edge
+        # a target of -1 stands for a constant
+        new_target = Constant("-", "symbol") if target < 0 else variables[target % len(variables)]
+        edges = [(e.source, e.role, e.target) for e in pred.edges]
+        grown = AmrGraph.build(
+            pred.root,
+            dict(pred.instances),
+            edges + [(variables[source % len(variables)], role, new_target)],
+        )
+        config = MatchConfig(include_top=include_top)
+        _, before = match_exact(pred, gold, config)
+        _, after = match_exact(grown, gold, config)
+        assert after - before in (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pred=small_graphs(),
+        gold=small_graphs(),
+        seed=st.integers(0, 2**16),
+        include_top=st.booleans(),
+    )
+    def test_hillclimb_never_exceeds_exact(self, pred, gold, seed, include_top):
+        config = MatchConfig(restarts=2, seed=seed, include_top=include_top)
+        mapping, climbed = match_hillclimb(pred, gold, config)
+        assert climbed <= match_exact(pred, gold, config)[1]
+        assert matched_triples(pred, gold, mapping, include_top) == climbed
 
 
 class TestMatchHillclimb:
