@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -18,6 +17,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     pickle, and the result never depends on the worker count.
     """
     if jobs > 1 and len(items) > 1:
+        # imported here so a single-process run never pays for it
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(items) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items, chunksize=chunk))

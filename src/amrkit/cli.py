@@ -17,6 +17,7 @@ data failed a quality bar (validation discards, score under ``--min-f1``),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -71,6 +72,9 @@ def _entry_label(entry: CorpusEntry, position: int) -> str:
     return entry.id or f"#{position + 1}"
 
 
+# built once per process: each build leaves its formatters and argument
+# groups in reference cycles that only the cyclic garbage collector frees
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the shared options its handler reads
     seed = argparse.ArgumentParser(add_help=False)
@@ -379,8 +383,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliError as err:

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Union
+from typing import Iterable, Literal, Mapping, Optional, Union
 
 # Characters that delimit tokens in PENMAN notation and therefore can never
-# appear inside a variable name or concept label.
-_STRUCTURAL = set('()/"')
+# appear inside a variable name, concept label or bare constant.
+_ILLEGAL_RE = re.compile(r'[\s():/"]')
 
 _FRAME_RE = re.compile(r"^(?:[a-z][a-z0-9']*-)+\d{2,3}$")
 
 
-def _check_token(text: str, what: str, forbid_colon: bool) -> None:
+def _check_token(text: str, what: str) -> None:
     if not text:
         raise ValueError(f"{what} must be non-empty")
-    for ch in text:
-        if ch.isspace() or ch in _STRUCTURAL or (forbid_colon and ch == ":"):
-            raise ValueError(f"{what} {text!r} contains illegal character {ch!r}")
+    bad = _ILLEGAL_RE.search(text)
+    if bad:
+        raise ValueError(f"{what} {text!r} contains illegal character {bad.group()!r}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Variable:
     name: str
 
     def __post_init__(self) -> None:
-        _check_token(self.name, "variable name", forbid_colon=True)
+        _check_token(self.name, "variable name")
 
     def __str__(self) -> str:
         return self.name
@@ -48,7 +48,7 @@ class Concept:
     label: str
 
     def __post_init__(self) -> None:
-        _check_token(self.label, "concept label", forbid_colon=True)
+        _check_token(self.label, "concept label")
 
     @property
     def is_frame(self) -> bool:
@@ -63,6 +63,20 @@ ConstantKind = Literal["string", "number", "symbol"]
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
+# Bare (unquoted) attribute values that would otherwise look like variable
+# references: the sentence-mode markers.
+_MODE_SYMBOLS = frozenset({"imperative", "expressive", "interrogative"})
+
+
+def _bare_kind(text: str) -> Optional[ConstantKind]:
+    """How PENMAN reads a non-empty bare token that names no variable:
+    ``"number"``, ``"symbol"``, or None for an undefined variable."""
+    if _NUMBER_RE.match(text):
+        return "number"
+    if not text[0].isalpha() or text in _MODE_SYMBOLS:
+        return "symbol"
+    return None
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -70,7 +84,10 @@ class Constant:
 
     The kind records surface form only.  Quoted strings keep their interior
     characters verbatim (spaces and parentheses included); the surrounding
-    quotes are not part of ``value``.
+    quotes are not part of ``value``.  Numbers and symbols are written
+    bare, so each value must read back as its own kind: a symbol is not
+    numeric and starts with a non-letter, unless it is a sentence-mode
+    marker.
     """
 
     value: str
@@ -80,11 +97,10 @@ class Constant:
         if self.kind == "string":
             if '"' in self.value:
                 raise ValueError("quoted constant cannot contain a quote character")
-        elif self.kind == "number":
-            if not _NUMBER_RE.match(self.value):
-                raise ValueError(f"not a numeric constant: {self.value!r}")
-        elif self.kind == "symbol":
-            _check_token(self.value, "symbol constant", forbid_colon=False)
+        elif self.kind == "number" or self.kind == "symbol":
+            _check_token(self.value, f"{self.kind} constant")
+            if _bare_kind(self.value) != self.kind:
+                raise ValueError(f"{self.value!r} does not read back as a {self.kind} constant")
         else:
             raise ValueError(f"unknown constant kind: {self.kind!r}")
 
@@ -96,24 +112,20 @@ class Constant:
 
 Target = Union[Variable, Constant]
 
-_ROLE_RE = re.compile(r"^:[^\s()/\"]+$")
+_ROLE_RE = re.compile(r':[^\s()/"]+')
 
 
 @dataclass(frozen=True)
 class Edge:
-    """One labeled edge.  ``order_index`` is the edge's position among the
-    edges sharing its source, in original surface order."""
+    """One labeled edge."""
 
     source: Variable
     role: str
     target: Target
-    order_index: int
 
     def __post_init__(self) -> None:
-        if not _ROLE_RE.match(self.role):
+        if not _ROLE_RE.fullmatch(self.role):
             raise ValueError(f"malformed role: {self.role!r}")
-        if self.order_index < 0:
-            raise ValueError("order_index must be >= 0")
 
 
 TripleKind = Literal["instance", "attribute", "relation"]
@@ -173,10 +185,10 @@ class AmrGraph:
     """A rooted AMR graph.
 
     ``instances`` maps each variable to its concept, in definition order.
-    ``edges`` is the full edge list in surface order; per-source subsequences
-    are numbered 0, 1, ... by ``order_index``.  Construction validates that
-    every mentioned variable is defined, that sibling numbering is
-    consistent, and that every variable is connected to the root.
+    ``edges`` is the full edge list in surface order, so the edges sharing a
+    source appear in their sibling order.  Construction validates that
+    every mentioned variable is defined, that no bare constant is spelled
+    like a variable, and that every variable is connected to the root.
     """
 
     root: Variable
@@ -188,19 +200,16 @@ class AmrGraph:
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.root not in self.instances:
             raise ValueError(f"root {self.root} has no concept")
-        positions: dict[Variable, int] = {}
         for edge in self.edges:
+            target = edge.target
             if edge.source not in self.instances:
                 raise ValueError(f"edge source {edge.source} is not a defined variable")
-            if isinstance(edge.target, Variable) and edge.target not in self.instances:
-                raise ValueError(f"edge target {edge.target} is not a defined variable")
-            expected = positions.get(edge.source, 0)
-            if edge.order_index != expected:
-                raise ValueError(
-                    f"edge {edge.source} {edge.role} has order_index {edge.order_index}, "
-                    f"expected {expected}"
-                )
-            positions[edge.source] = expected + 1
+            if isinstance(target, Variable):
+                if target not in self.instances:
+                    raise ValueError(f"edge target {target} is not a defined variable")
+            elif target.kind != "string" and Variable(target.value) in self.instances:
+                # written bare, it would read back as a reference
+                raise ValueError(f"{target.kind} constant {target} is spelled like a variable")
         unreachable = set(self.instances) - _reachable(self.root, self.edges)
         if unreachable:
             names = ", ".join(sorted(v.name for v in unreachable))
@@ -213,15 +222,8 @@ class AmrGraph:
         instances: Mapping[Variable, Concept],
         edges: Iterable[tuple[Variable, str, Target]] = (),
     ) -> "AmrGraph":
-        """Construct a graph from bare (source, role, target) edges, assigning
-        ``order_index`` from list position."""
-        counters: dict[Variable, int] = {}
-        built = []
-        for source, role, target in edges:
-            idx = counters.get(source, 0)
-            counters[source] = idx + 1
-            built.append(Edge(source, role, target, idx))
-        return cls(root, instances, tuple(built))
+        """Construct a graph from bare (source, role, target) edges."""
+        return cls(root, instances, tuple(Edge(s, r, t) for s, r, t in edges))
 
     def variables(self) -> list[Variable]:
         """Variables in definition order."""

@@ -15,11 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .graph import _NUMBER_RE, AmrGraph, Concept, Constant, Edge, Variable, _reachable
-
-# Bare (unquoted) attribute values that would otherwise look like variable
-# references: the sentence-mode markers.
-_MODE_SYMBOLS = frozenset({"imperative", "expressive", "interrogative"})
+# _MODE_SYMBOLS stays importable from here for the tests' lexer oracle
+from .graph import _MODE_SYMBOLS, AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
 
 WIKI_ROLE = ":wiki"
 
@@ -153,27 +150,18 @@ class _Parser:
         """Parse the node opening at the current '(' with everything nested
         in it, and return its variable name."""
         tokens, edges = self.tokens, self.edges
-        # open nodes, innermost last: (name, edge slot that receives the
-        # name when the node closes, or -1)
-        stack: list[tuple[str, int]] = []
-        opening, slot = True, -1
+        stack = [self.open_node()]  # names of the open nodes, innermost last
         while True:
-            if opening:
-                stack.append((self.open_node(), slot))
-                opening = False
             kind, text, offset = tokens[self.pos]
             if kind == "role":
                 self.pos += 1
                 if text == ":":
                     self.report(DiagnosticCode.EMPTY_ROLE, "role name is empty", offset)
-                source = stack[-1][0]
+                source = stack[-1]
                 target = tokens[self.pos]
                 if target[0] == "lparen":
-                    # reserve the slot first so edges stay in surface order
-                    # even though the child's name is only known after its
-                    # subtree
-                    opening, slot = True, len(edges)
-                    edges.append((source, text, ""))
+                    stack.append(self.open_node())
+                    edges.append((source, text, stack[-1]))
                 elif target[0] == "string":
                     self.pos += 1
                     edges.append((source, text, Constant(target[1], "string")))
@@ -190,9 +178,7 @@ class _Parser:
                     self.pos += 1
                 else:
                     self.report(DiagnosticCode.UNBALANCED_PAREN, "missing ')'", offset)
-                name, filled = stack.pop()
-                if filled >= 0:
-                    edges[filled] = edges[filled][:2] + (name,)
+                name = stack.pop()
                 if not stack:
                     return name
             elif kind == "slash":
@@ -204,7 +190,7 @@ class _Parser:
                     DiagnosticCode.MALFORMED_TOKEN, f"expected a role, found {text!r}", offset
                 )
                 if kind == "lparen":
-                    opening, slot = True, -1
+                    stack.append(self.open_node())
                 else:
                     self.pos += 1
 
@@ -256,10 +242,9 @@ class _Parser:
             source, role, _ = self.edges[index]
             if text in self.instances:
                 continue  # stays a reference
-            if _NUMBER_RE.match(text):
-                self.edges[index] = (source, role, Constant(text, "number"))
-            elif not text[0].isalpha() or text in _MODE_SYMBOLS:
-                self.edges[index] = (source, role, Constant(text, "symbol"))
+            kind = _bare_kind(text)
+            if kind is not None:
+                self.edges[index] = (source, role, Constant(text, kind))
             else:
                 self.report(
                     DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", offset
@@ -285,10 +270,10 @@ def strip_wiki(graph: AmrGraph) -> AmrGraph:
     if len(kept) == len(graph.edges):
         return graph
     reach = _reachable(graph.root, kept)
-    return AmrGraph.build(
+    return AmrGraph(
         graph.root,
         {v: c for v, c in graph.instances.items() if v in reach},
-        [(e.source, e.role, e.target) for e in kept if e.source in reach],
+        tuple(e for e in kept if e.source in reach),
     )
 
 

@@ -19,6 +19,7 @@ many worker processes are used.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -224,17 +225,20 @@ def match_exact(
     """Find the best variable mapping by exhausting every injective
     assignment from the smaller variable set into the larger.
 
-    Exact by construction.  Cost grows factorially with the smaller
-    variable count, so graphs whose smaller side exceeds
-    ``config.exact_threshold`` are refused.
+    Exact by construction.  Cost grows with the number of those
+    assignments, ``math.perm(larger, smaller)`` for the two variable
+    counts, so a pair is refused when its smaller side exceeds
+    ``config.exact_threshold`` or its assignments outnumber
+    ``math.factorial(config.exact_threshold)``.
     """
     pred_names = [v.name for v in pred.variables()]
     gold_names = [v.name for v in gold.variables()]
-    smaller = min(len(pred_names), len(gold_names))
-    if smaller > config.exact_threshold:
+    smaller, larger = sorted((len(pred_names), len(gold_names)))
+    limit = config.exact_threshold
+    if smaller > limit or math.perm(larger, smaller) > math.factorial(limit):
         raise ValueError(
-            f"exhaustive matching needs a side with at most "
-            f"{config.exact_threshold} variables, got {smaller}"
+            f"exhaustive matching needs a side with at most {limit} variables and at "
+            f"most {limit}! assignments, got {smaller} against {larger} variables"
         )
     # the matched count is symmetric, so the smaller side's variables take
     # each ordered choice of the larger side's names; ties go to the first

@@ -84,7 +84,6 @@ def rename_variables(graph: AmrGraph, rng: random.Random, prefix: str = "x") -> 
                 mapping[e.source],
                 e.role,
                 mapping[e.target] if isinstance(e.target, Variable) else e.target,
-                e.order_index,
             )
             for e in graph.edges
         ),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -436,6 +437,39 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "# ::id fig1\n" + WANT_GO_CANONICAL + "\n"
+
+
+class TestProcessCost:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, amrkit.cli; print('concurrent.futures' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert result.stdout == "False\n"
+
+    def test_repeated_calls_leave_no_parser_garbage(self, corpus_file, capsys):
+        path = corpus_file("in.amr", FIGURE_RECORD)
+        assert main(["stats", path]) == 0
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["stats", path]) == 0
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert left == []
 
 
 class TestConsoleScript:

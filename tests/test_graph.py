@@ -72,11 +72,13 @@ class TestAtoms:
                 Constant(bad, "number")
 
     def test_symbol_constant(self):
-        assert str(Constant("-", "symbol")) == "-"
-        with pytest.raises(ValueError):
-            Constant("a b", "symbol")
-        with pytest.raises(ValueError):
-            Constant("", "symbol")
+        for good in ["-", "+", "1st", "<TOP>", "imperative", "expressive", "interrogative"]:
+            assert str(Constant(good, "symbol")) == good
+        # written bare, a word reads back as a variable, a numeral as a
+        # number, and a colon starts a role
+        for bad in ["a b", "", "boy", "5", "-7", "12:30"]:
+            with pytest.raises(ValueError):
+                Constant(bad, "symbol")
 
     def test_unknown_constant_kind(self):
         with pytest.raises(ValueError):
@@ -87,15 +89,14 @@ class TestEdge:
     def test_role_must_start_with_colon(self):
         v = Variable("a")
         with pytest.raises(ValueError):
-            Edge(v, "ARG0", Variable("b"), 0)
+            Edge(v, "ARG0", Variable("b"))
         with pytest.raises(ValueError):
-            Edge(v, ":", Variable("b"), 0)
+            Edge(v, ":", Variable("b"))
         with pytest.raises(ValueError):
-            Edge(v, ":a b", Variable("b"), 0)
-
-    def test_negative_order_index(self):
+            Edge(v, ":a b", Variable("b"))
+        # a trailing newline would be read back as a separator
         with pytest.raises(ValueError):
-            Edge(Variable("a"), ":mod", Variable("b"), -1)
+            Edge(v, ":mod\n", Variable("b"))
 
 
 class TestGraphInvariants:
@@ -106,25 +107,30 @@ class TestGraphInvariants:
     def test_edge_endpoints_must_be_defined(self):
         a, b = Variable("a"), Variable("b")
         with pytest.raises(ValueError, match="source"):
-            AmrGraph(a, {a: Concept("x")}, (Edge(b, ":mod", a, 0),))
+            AmrGraph(a, {a: Concept("x")}, (Edge(b, ":mod", a),))
         with pytest.raises(ValueError, match="target"):
-            AmrGraph(a, {a: Concept("x")}, (Edge(a, ":mod", b, 0),))
+            AmrGraph(a, {a: Concept("x")}, (Edge(a, ":mod", b),))
 
-    def test_sibling_numbering_checked(self):
-        a, b = Variable("a"), Variable("b")
+    def test_bare_constant_spelled_like_a_variable_rejected(self):
+        # written bare, such a constant would read back as a reference
+        a = Variable("a")
+        for constant in [Constant("-", "symbol"), Constant("5", "number")]:
+            b = Variable(constant.value)
+            instances = {a: Concept("x"), b: Concept("y")}
+            with pytest.raises(ValueError, match="spelled like a variable"):
+                AmrGraph.build(a, instances, [(a, ":ARG0", b), (a, ":polarity", constant)])
+        # a quoted string is never read as a reference
+        b = Variable("b")
         instances = {a: Concept("x"), b: Concept("y")}
-        with pytest.raises(ValueError, match="order_index"):
-            AmrGraph(a, instances, (Edge(a, ":mod", b, 1),))
-        with pytest.raises(ValueError, match="order_index"):
-            AmrGraph(
-                a, instances, (Edge(a, ":mod", b, 0), Edge(a, ":poss", b, 0))
-            )
+        quoted = Constant("b", "string")
+        graph = AmrGraph.build(a, instances, [(a, ":ARG0", b), (a, ":name", quoted)])
+        assert len(graph.edges) == 2
 
     def test_disconnected_variable_rejected(self):
         a, b, c = Variable("a"), Variable("b"), Variable("c")
         instances = {a: Concept("x"), b: Concept("y"), c: Concept("z")}
         with pytest.raises(ValueError, match="not connected"):
-            AmrGraph(a, instances, (Edge(a, ":mod", b, 0),))
+            AmrGraph(a, instances, (Edge(a, ":mod", b),))
 
     def test_connectivity_ignores_edge_direction(self):
         # b holds only an outgoing edge back into the root side; it is
@@ -133,17 +139,16 @@ class TestGraphInvariants:
         graph = AmrGraph(
             a,
             {a: Concept("x"), b: Concept("y")},
-            (Edge(b, ":ARG0", a, 0),),
+            (Edge(b, ":ARG0", a),),
         )
         assert set(graph.variables()) == {a, b}
 
     def test_build_numbers_edges_per_source(self):
+        # sibling order is the order of the edges sharing a source
         graph = want_go_graph()
-        w = Variable("w")
-        roles = [(e.role, e.order_index) for e in graph.outgoing(w)]
-        assert roles == [(":ARG0", 0), (":ARG1", 1)]
-        g = Variable("g")
-        assert [(e.role, e.order_index) for e in graph.outgoing(g)] == [(":ARG0", 0)]
+        assert [e.role for e in graph.outgoing(Variable("w"))] == [":ARG0", ":ARG1"]
+        assert [e.role for e in graph.outgoing(Variable("g"))] == [":ARG0"]
+        assert [e.role for e in graph.outgoing(Variable("n"))] == [":op1"]
 
 
 class TestTriples:
@@ -177,11 +182,11 @@ class TestTriples:
     def test_triple_kind_consistency_enforced(self):
         a = Variable("a")
         with pytest.raises(ValueError):
-            Triple("instance", a, "instance", Constant("x", "symbol"))
+            Triple("instance", a, "instance", Constant("-", "symbol"))
         with pytest.raises(ValueError):
             Triple("attribute", a, ":mod", Variable("b"))
         with pytest.raises(ValueError):
-            Triple("relation", a, ":mod", Constant("x", "symbol"))
+            Triple("relation", a, ":mod", Constant("-", "symbol"))
         with pytest.raises(ValueError):
             Triple("thing", a, ":mod", Variable("b"))
 

@@ -1,5 +1,5 @@
 """The README names only diagnostic codes, rules, classes and command-line
-flags that exist."""
+flags that exist, and names every long command-line flag."""
 
 from __future__ import annotations
 
@@ -38,15 +38,23 @@ def test_parser_section_lists_every_diagnostic_code():
     assert {code.value for code in DiagnosticCode} <= set(_CAMEL_RE.findall(section))
 
 
-def test_every_flag_exists():
+def _cli_flags() -> set[str]:
     parser = build_parser()
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    known = {
+    return {
         flag
         for sub in commands.choices.values()
         for action in sub._actions
         for flag in action.option_strings
     }
+
+
+def test_every_flag_exists():
     named = set(_FLAG_RE.findall(README))
     assert named, "the pattern found no flags in the README"
-    assert sorted(named - known) == []
+    assert sorted(named - _cli_flags()) == []
+
+
+def test_every_long_flag_is_named():
+    long_flags = {flag for flag in _cli_flags() if flag.startswith("--")} - {"--help"}
+    assert sorted(long_flags - set(_FLAG_RE.findall(README))) == []

@@ -192,6 +192,18 @@ class TestMatchExact:
         _, count = match_exact(big, small)
         assert count >= 0
 
+    def test_refuses_a_small_side_against_a_much_larger_one(self):
+        # 8 against 40 variables would be math.perm(40, 8), about 3.1e12,
+        # assignments; it is refused before any search starts
+        rng = random.Random(4)
+        small = random_graph(rng, max_vars=8, min_vars=8)
+        large = random_graph(rng, max_vars=40, min_vars=40)
+        for pred, gold in [(small, large), (large, small)]:
+            with pytest.raises(ValueError, match="8 against 40 variables"):
+                match_exact(pred, gold)
+        # score_pair never sends such a pair to the exhaustive search
+        assert score_pair(small, large).pred_total == len(small.triples(True))
+
     def test_threshold_is_configurable(self):
         graph = parse("( a / x :mod ( b / y ) :poss ( c / z ) )")
         with pytest.raises(ValueError, match="at most 2 variables"):
