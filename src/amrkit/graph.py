@@ -229,9 +229,6 @@ class AmrGraph:
         """Variables in definition order."""
         return list(self.instances)
 
-    def concept_of(self, var: Variable) -> Concept:
-        return self.instances[var]
-
     def top_concept(self) -> Concept:
         """The concept at the root node."""
         return self.instances[self.root]

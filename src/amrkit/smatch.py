@@ -7,8 +7,10 @@ of graphs gives every mapping's matched count as a sum of terms, one per
 variable choice and one per linked pair of choices (the design of
 reference Smatch).  The best mapping is found through that table either
 exhaustively (small graphs; exact by construction) or by steepest-ascent
-hill-climbing with restarts, which scores a trial move by the terms of
-the variables it moves.
+hill-climbing with restarts, whose steps try only names that share a
+weighted fact with the moved variable or with the holder of its name:
+the skipped moves cannot raise the count, so every mapping is the one a
+full scan finds.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
 one seed per pair from the pair's position and collect per-pair scores
@@ -191,17 +193,6 @@ class _Weights:
             total += table.get((assign[i], assign[j]), 0)
         return total
 
-    def touching(self, assign: Sequence[Optional[str]], moved: tuple[int, ...]) -> int:
-        """The terms of ``count(assign)`` that involve a variable in ``moved``."""
-        total = 0
-        for i in moved:
-            name = assign[i]
-            total += self.unary[i].get(name, 0)
-            for j, table in self.links[i]:
-                if j > i or j not in moved:
-                    total += table.get((name, assign[j]), 0)
-        return total
-
 
 def matched_triples(
     pred: AmrGraph,
@@ -290,8 +281,7 @@ def _random_assign(
 def _reassign(
     assign: list[Optional[str]], i: int, name: Optional[str], holder: Optional[int]
 ) -> None:
-    # variable i takes ``name``; its holder, if any, takes i's old name,
-    # so calling again with i's old name undoes the move
+    # variable i takes ``name``; its holder, if any, takes i's old name
     if holder is not None:
         assign[holder] = assign[i]
     assign[i] = name
@@ -299,27 +289,54 @@ def _reassign(
 
 def _climb(weights: _Weights, assign: list[Optional[str]], gold_names: list[str]) -> int:
     """Steepest ascent: repeatedly take the single re-assignment or swap
-    that raises the matched count the most, until none does.  Each trial
-    move is scored by the table terms of the variables it moves.  Returns
-    the final matched count."""
+    that raises the matched count the most, until none does.  Returns the
+    final matched count.
+
+    Variable ``i`` holding ``c`` tries only the names with a term for
+    ``i`` and those of holders with a term for ``c``: any other move
+    leaves both moved variables without terms, so its gain is at most 0
+    and the strict ``>`` never takes it.  Tried names keep ``gold_names``
+    order, so each step takes the move a full scan would.
+    """
+    unary, links = weights.unary, weights.links
+    position = {name: k for k, name in enumerate(gold_names)}
+    # cand[i]: the positions of the names with a term for variable i
+    cand = [
+        {position[a] for a in u} | {position[a] for _, t in ts for a, _ in t}
+        for u, ts in zip(unary, links)
+    ]
+    wanted_by = {a: [i for i, c in enumerate(cand) if k in c] for k, a in enumerate(gold_names)}
     matched = weights.count(assign)
     while True:
         owner = {name: i for i, name in enumerate(assign) if name is not None}
-        best_gain = 0
-        best_move: Optional[tuple[int, str, Optional[int]]] = None
+        # every current term of variable v, so a move's gain is after - before
+        base = [
+            unary[v].get(name, 0) + sum(t.get((name, assign[j]), 0) for j, t in links[v])
+            for v, name in enumerate(assign)
+        ]
+        best_gain, best_move = 0, None
         for i, current in enumerate(assign):
-            for gold_name in gold_names:
-                if gold_name == current:
+            helped = [assign[h] for h in wanted_by.get(current, ()) if h != i]
+            for k in sorted(cand[i].union(position[a] for a in helped if a is not None)):
+                name = gold_names[k]
+                if name == current:
                     continue
-                holder = owner.get(gold_name)
-                moved = (i,) if holder is None else (i, holder)
-                before = weights.touching(assign, moved)
-                _reassign(assign, i, gold_name, holder)
-                gain = weights.touching(assign, moved) - before
-                _reassign(assign, i, current, holder)
+                # i takes name and its holder current; a joint table's old
+                # term is in both bases, so it is added back once
+                holder = owner.get(name)
+                gain = unary[i].get(name, 0) - base[i]
+                for j, t in links[i]:
+                    if j == holder:
+                        gain += t.get((name, current), 0) + t.get((current, name), 0)
+                    else:
+                        gain += t.get((name, assign[j]), 0)
+                if holder is not None:
+                    gain += unary[holder].get(current, 0) - base[holder]
+                    for j, t in links[holder]:
+                        if j != i:
+                            gain += t.get((current, assign[j]), 0)
                 if gain > best_gain:
-                    best_gain = gain
-                    best_move = (i, gold_name, holder)
+                    best_gain, best_move = gain, (i, name, holder)
         if best_move is None:
             return matched
         _reassign(assign, *best_move)
@@ -370,8 +387,9 @@ def score_pair(
         _, matched = match_exact(pred, gold, config)
     else:
         _, matched = match_hillclimb(pred, gold, config)
-    pred_total = len(pred.triples(config.include_top))
-    gold_total = len(gold.triples(config.include_top))
+    # the triple totals: one per variable, one per edge, plus the root marker
+    pred_total = len(pred.instances) + len(pred.edges) + config.include_top
+    gold_total = len(gold.instances) + len(gold.edges) + config.include_top
     return SmatchScore.from_counts(matched, pred_total, gold_total)
 
 
@@ -382,7 +400,7 @@ def _score_indexed(
     if pred is None:
         # a missing prediction contributes its reference size to recall
         # and nothing else
-        gold_total = len(gold.triples(config.include_top))
+        gold_total = len(gold.instances) + len(gold.edges) + config.include_top
         return SmatchScore.from_counts(0, 0, gold_total)
     return score_pair(pred, gold, replace(config, seed=config.seed ^ index))
 

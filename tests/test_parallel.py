@@ -1,12 +1,14 @@
 """The process-pool path shared by ``filter_corpus`` and ``score_corpus``:
 identical results for one worker and for more workers than items, on
-corpora of zero to three entries."""
+corpora of zero to four entries."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amrkit import (
     MatchConfig,
@@ -63,3 +65,34 @@ def test_score_corpus_any_jobs(size):
         # the missing prediction scores nothing and keeps its reference size
         assert (pooled[1][1].matched, pooled[1][1].pred_total) == (0, 0)
         assert pooled[1][1].gold_total == len(pairs[1][1].triples(True))
+
+
+# one pair: a graph seed, whether the reference is above the exact
+# threshold, and what the prediction is
+PAIR_SPECS = st.tuples(
+    st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["missing", "renamed", "other"])
+)
+
+
+def _spec_pair(seed: int, large: bool, prediction: str) -> tuple:
+    rng = random.Random(seed)
+    min_vars, max_vars = (9, 14) if large else (1, 6)
+    gold = random_graph(rng, max_vars, min_vars)
+    if prediction == "missing":
+        return None, gold
+    if prediction == "renamed":
+        return rename_variables(gold, rng), gold
+    return random_graph(rng, max_vars, min_vars), gold
+
+
+@settings(max_examples=6, deadline=None)
+@example(specs=[(1, True, "other"), (2, False, "missing")], seed=3)
+@given(specs=st.lists(PAIR_SPECS, max_size=4), seed=st.integers(0, 2**16))
+def test_score_corpus_jobs_property(specs, seed):
+    # each example starts a process pool per aggregate, so examples are few
+    pairs = [_spec_pair(*spec) for spec in specs]
+    config = MatchConfig(restarts=2, seed=seed)
+    for macro in (False, True):
+        assert score_corpus(pairs, config, jobs=2, macro=macro) == score_corpus(
+            pairs, config, jobs=1, macro=macro
+        )

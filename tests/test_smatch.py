@@ -26,7 +26,9 @@ from amrkit import (
     score_pair,
     strip_wiki,
 )
+from amrkit.smatch import _climb, _random_assign, _Weights
 from genutil import CONCEPTS, ROLES, WANT_GO_PRETTY, random_graph, rename_variables
+from oracles import smatch_climb
 from oracles.smatch_climb import match_hillclimb_rekeyed
 from oracles.smatch_exact import match_exact_two_loops
 
@@ -281,6 +283,30 @@ class TestExactOracle:
                 assert matched_triples(left, right, mapping, include_top) == count
 
 
+@st.composite
+def small_graphs(draw, max_vars: int = 6) -> AmrGraph:
+    """Graphs of at most ``max_vars`` variables over few concepts and
+    roles, so that triples coincide often; extra edges may repeat a
+    relation or close a self-loop."""
+    count = draw(st.integers(1, max_vars))
+    variables = [Variable(f"v{i}") for i in range(count)]
+    concepts = st.sampled_from(CONCEPTS[:4])
+    roles = st.sampled_from(ROLES[:3])
+    positions = st.integers(0, count - 1)
+    instances = {v: Concept(draw(concepts)) for v in variables}
+    edges: list = [
+        (variables[draw(st.integers(0, i - 1))], draw(roles), variables[i])
+        for i in range(1, count)
+    ]
+    for source, role, target in draw(st.lists(st.tuples(positions, roles, positions), max_size=3)):
+        edges.append((variables[source], role, variables[target]))
+    for source, role, value in draw(
+        st.lists(st.tuples(positions, roles, st.sampled_from(["-", "+"])), max_size=2)
+    ):
+        edges.append((variables[source], role, Constant(value, "symbol")))
+    return AmrGraph.build(variables[0], instances, edges)
+
+
 def near_copy(graph: AmrGraph, rng: random.Random, changes: int = 3) -> AmrGraph:
     """A renamed copy of ``graph`` with ``changes`` concepts replaced and
     about one role in ten redrawn: close to ``graph`` but not equal."""
@@ -315,6 +341,64 @@ class TestClimbOracle:
             result = match_hillclimb(pred, gold, config)
             assert result == match_hillclimb_rekeyed(pred, gold, config), kind
             assert matched_triples(pred, gold, result[0], include_top) == result[1]
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_every_climb_ends_where_the_oracle_does(self, include_top):
+        # the winning restart hides where the others ended, so compare
+        # single climbs from the same random start
+        rng = random.Random(40 + include_top)
+        for _ in range(30):
+            pred, gold = random_graph(rng, 20, min_vars=2), random_graph(rng, 20, min_vars=2)
+            gold_names = [v.name for v in gold.variables()]
+            start = _random_assign(len(pred.instances), gold_names, rng)
+            assign = list(start)
+            count = _climb(_Weights(pred, gold, include_top), assign, gold_names)
+            state = smatch_climb._MatchState(
+                smatch_climb._PredSide(pred, include_top),
+                smatch_climb._gold_keys(gold, include_top),
+                list(start),
+            )
+            smatch_climb._climb(state, gold_names)
+            assert (assign, count) == (state.assign, state.matched)
+
+    def test_swap_that_breaks_a_matched_relation(self):
+        # swapping loses the matched :ARG0 but wins both concepts
+        pred, gold = parse("( i / x :ARG0 ( h / y ) )"), parse("( p / y :ARG0 ( q / x ) )")
+        assign = ["p", "q"]
+        assert _climb(_Weights(pred, gold, include_top=False), assign, ["p", "q"]) == 2
+        assert assign == ["q", "p"]
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_lopsided_pairs(self, include_top):
+        # a small side leaves free reference names, or predicted variables
+        # with no name at all
+        rng = random.Random(70 + include_top)
+        config = MatchConfig(restarts=3, include_top=include_top, seed=5)
+        for _ in range(5):
+            small, large = random_graph(rng, 6), random_graph(rng, 30, min_vars=9)
+            for pred, gold in ((small, large), (large, small)):
+                result = match_hillclimb(pred, gold, config)
+                assert result == match_hillclimb_rekeyed(pred, gold, config)
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_largest_bench_sizes(self, kind):
+        rng = random.Random(90 if kind == "near" else 91)
+        config = MatchConfig(restarts=2, seed=2)
+        gold = random_graph(rng, 40, min_vars=30)
+        pred = near_copy(gold, rng) if kind == "near" else random_graph(rng, 40, min_vars=30)
+        assert match_hillclimb(pred, gold, config) == match_hillclimb_rekeyed(pred, gold, config)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pred=small_graphs(max_vars=8),
+        gold=small_graphs(max_vars=8),
+        restarts=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_small_graphs_property(self, pred, gold, restarts, seed):
+        for include_top in (True, False):
+            config = MatchConfig(restarts=restarts, seed=seed, include_top=include_top)
+            assert match_hillclimb(pred, gold, config) == match_hillclimb_rekeyed(pred, gold, config)
 
 
 # Hand-built pairs whose triples repeat or coincide: (pred, gold, the
@@ -377,30 +461,6 @@ class TestMultiplicity:
         identity = identity_mapping(graph)
         assert matched_triples(graph, graph, identity) == len(graph.triples(True)) == 9
         assert matched_triples(graph, graph, identity, include_top=False) == 8
-
-
-@st.composite
-def small_graphs(draw, max_vars: int = 6) -> AmrGraph:
-    """Graphs of at most ``max_vars`` variables over few concepts and
-    roles, so that triples coincide often; extra edges may repeat a
-    relation or close a self-loop."""
-    count = draw(st.integers(1, max_vars))
-    variables = [Variable(f"v{i}") for i in range(count)]
-    concepts = st.sampled_from(CONCEPTS[:4])
-    roles = st.sampled_from(ROLES[:3])
-    positions = st.integers(0, count - 1)
-    instances = {v: Concept(draw(concepts)) for v in variables}
-    edges: list = [
-        (variables[draw(st.integers(0, i - 1))], draw(roles), variables[i])
-        for i in range(1, count)
-    ]
-    for source, role, target in draw(st.lists(st.tuples(positions, roles, positions), max_size=3)):
-        edges.append((variables[source], role, variables[target]))
-    for source, role, value in draw(
-        st.lists(st.tuples(positions, roles, st.sampled_from(["-", "+"])), max_size=2)
-    ):
-        edges.append((variables[source], role, Constant(value, "symbol")))
-    return AmrGraph.build(variables[0], instances, edges)
 
 
 def shuffled_renamed(graph: AmrGraph, rng: random.Random) -> AmrGraph:
