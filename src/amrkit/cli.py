@@ -257,7 +257,8 @@ def _align_pairs(
     if all(pred_ids) and all(gold_ids):
         by_id = dict(zip(pred_ids, pred_entries))
         missing = [i for i in gold_ids if i not in by_id]
-        extra = [i for i in pred_ids if i not in set(gold_ids)]
+        gold_id_set = set(gold_ids)
+        extra = [i for i in pred_ids if i not in gold_id_set]
         if missing or extra:
             parts = []
             if missing:

@@ -5,10 +5,13 @@ to reference variables by an injective mapping, and precision, recall,
 and F1 are computed over the matched triples.  One weight table per pair
 of graphs gives every mapping's matched count as a sum of terms, one per
 variable choice and one per linked pair of choices (the design of
-reference Smatch).  The best mapping is found through that table either
-exhaustively (small graphs; exact by construction) or by steepest-ascent
-hill-climbing with restarts, whose steps try only names that share a
-weighted fact with the moved variable or with the holder of its name:
+reference Smatch).  The search names each variable by its position in
+definition order; names appear only where a ``VarMapping`` is built
+or read.
+The best mapping is found through that table either exhaustively (small
+graphs; exact by construction) or by steepest-ascent hill-climbing with
+restarts, whose steps try only reference variables that share a
+weighted fact with the moved variable or with the holder of its target:
 the skipped moves cannot raise the count, so every mapping is the one a
 full scan finds.
 
@@ -113,28 +116,27 @@ class MatchConfig:
 
 def _facts(
     graph: AmrGraph, include_top: bool
-) -> tuple[dict[str, Counter], dict[tuple[str, str], Counter]]:
+) -> tuple[dict[int, Counter], dict[tuple[int, int], Counter]]:
     """The graph's triples grouped by the variables they touch.
 
-    Per variable name (in definition order): a Counter of its instance,
-    attribute, self-loop and root-marker facts.  Per ordered pair of
-    distinct variable names: a Counter of the roles of the relations from
-    the first to the second.
+    Per variable position (in definition order): a Counter of its
+    instance, attribute, self-loop and root-marker facts.  Per ordered
+    pair of distinct variable positions: a Counter of the roles of the
+    relations from the first to the second.
     """
-    unary = {
-        var.name: Counter({("i", concept.label): 1}) for var, concept in graph.instances.items()
-    }
-    binary: dict[tuple[str, str], Counter] = {}
+    position = {var.name: k for k, var in enumerate(graph.instances)}
+    unary = {k: Counter({("i", c.label): 1}) for k, c in enumerate(graph.instances.values())}
+    binary: dict[tuple[int, int], Counter] = {}
     for edge in graph.edges:
-        source = edge.source.name
+        source = position[edge.source.name]
         if isinstance(edge.target, Constant):
             unary[source][("a", edge.role, str(edge.target))] += 1
         elif edge.target == edge.source:
             unary[source][("r", edge.role)] += 1
         else:
-            binary.setdefault((source, edge.target.name), Counter())[edge.role] += 1
+            binary.setdefault((source, position[edge.target.name]), Counter())[edge.role] += 1
     if include_top:
-        unary[graph.root.name][("a", TOP_ROLE, str(TOP_MARKER))] += 1
+        unary[position[graph.root.name]][("a", TOP_ROLE, str(TOP_MARKER))] += 1
     return unary, binary
 
 
@@ -158,12 +160,13 @@ def _overlap(pred: dict, gold: dict) -> dict[object, Counter]:
 class _Weights:
     """The matched-triple count of a mapping, split into table terms.
 
+    Variables on both sides are positions in definition order.
     ``unary[i][a]`` counts the triples of predicted variable ``i`` alone
     that match when it maps to reference variable ``a``.  ``pairs`` holds
     ``(i, j, table)`` for predicted variables ``i != j`` with relations
     from ``i`` to ``j``, where ``table[(a, b)]`` counts those that match
     under ``i -> a`` and ``j -> b``.  ``links[i]`` lists every table that
-    involves ``i`` as ``(j, table keyed (name for i, name for j))``.
+    involves ``i`` as ``(j, table keyed (target of i, target of j))``.
     Each term is the minimum of the two multiplicities, and under a
     one-to-one mapping no two terms share a reference triple, so the sum
     of the terms is the matched count.
@@ -172,23 +175,19 @@ class _Weights:
     def __init__(self, pred: AmrGraph, gold: AmrGraph, include_top: bool):
         pred_unary, pred_binary = _facts(pred, include_top)
         gold_unary, gold_binary = _facts(gold, include_top)
-        self.names = list(pred_unary)
         self.unary = list(_overlap(pred_unary, gold_unary).values())
-        index = {name: i for i, name in enumerate(self.names)}
         self.pairs = [
-            (index[p], index[q], table)
-            for (p, q), table in _overlap(pred_binary, gold_binary).items()
-            if table
+            (i, j, table) for (i, j), table in _overlap(pred_binary, gold_binary).items() if table
         ]
-        self.links: list[list[tuple[int, dict]]] = [[] for _ in self.names]
+        self.links: list[list[tuple[int, dict]]] = [[] for _ in self.unary]
         for i, j, table in self.pairs:
             self.links[i].append((j, table))
             self.links[j].append((i, {(b, a): n for (a, b), n in table.items()}))
 
-    def count(self, assign: Sequence[Optional[str]]) -> int:
+    def count(self, assign: Sequence[Optional[int]]) -> int:
         """Matched triples when predicted variable ``i`` maps to
-        ``assign[i]`` (``None`` leaves it unmapped)."""
-        total = sum(weights.get(name, 0) for weights, name in zip(self.unary, assign))
+        reference variable ``assign[i]`` (``None`` leaves it unmapped)."""
+        total = sum(weights.get(a, 0) for weights, a in zip(self.unary, assign))
         for i, j, table in self.pairs:
             total += table.get((assign[i], assign[j]), 0)
         return total
@@ -203,9 +202,17 @@ def matched_triples(
     """Count the triples of ``pred`` that match a triple of ``gold`` when
     predicted variables are renamed through ``mapping``.  Each reference
     triple can be consumed at most once."""
-    weights = _Weights(pred, gold, include_top)
+    position = {var.name: k for k, var in enumerate(gold.instances)}
     lookup = mapping.as_dict()
-    return weights.count([lookup.get(name) for name in weights.names])
+    assign = [position.get(lookup.get(var.name)) for var in pred.instances]
+    return _Weights(pred, gold, include_top).count(assign)
+
+
+def _mapping(pred: AmrGraph, gold: AmrGraph, assign: Sequence[Optional[int]]) -> VarMapping:
+    """Name the reference variable ``assign[i]`` of each predicted variable ``i``."""
+    gold_vars = gold.variables()
+    pairs = zip(pred.instances, assign)
+    return VarMapping(tuple((var.name, gold_vars[a].name) for var, a in pairs if a is not None))
 
 
 def match_exact(
@@ -222,9 +229,7 @@ def match_exact(
     ``config.exact_threshold`` or its assignments outnumber
     ``math.factorial(config.exact_threshold)``.
     """
-    pred_names = [v.name for v in pred.variables()]
-    gold_names = [v.name for v in gold.variables()]
-    smaller, larger = sorted((len(pred_names), len(gold_names)))
+    smaller, larger = sorted((len(pred.instances), len(gold.instances)))
     limit = config.exact_threshold
     if smaller > limit or math.perm(larger, smaller) > math.factorial(limit):
         raise ValueError(
@@ -232,114 +237,99 @@ def match_exact(
             f"most {limit}! assignments, got {smaller} against {larger} variables"
         )
     # the matched count is symmetric, so the smaller side's variables take
-    # each ordered choice of the larger side's names; ties go to the first
-    swapped = len(pred_names) > len(gold_names)
-    small, large, large_names = (gold, pred, pred_names) if swapped else (pred, gold, gold_names)
+    # each ordered choice of the larger side's variables; ties go to the first
+    swapped = len(pred.instances) > len(gold.instances)
+    small, large = (gold, pred) if swapped else (pred, gold)
     weights = _Weights(small, large, config.include_top)
     best_count = -1
-    best: tuple[str, ...] = ()
-    for chosen in itertools.permutations(large_names, smaller):
+    best: tuple[Optional[int], ...] = ()
+    for chosen in itertools.permutations(range(larger), smaller):
         count = weights.count(chosen)
         if count > best_count:
             best_count = count
             best = chosen
-    mapped = dict(zip(weights.names, best))
     if swapped:
-        mapped = {pred_name: gold_name for gold_name, pred_name in mapped.items()}
-    mapping = VarMapping(tuple((name, mapped[name]) for name in pred_names if name in mapped))
-    return mapping, best_count
+        best = tuple(best.index(k) if k in best else None for k in range(larger))
+    return _mapping(pred, gold, best), best_count
 
 
-def _greedy_assign(pred: AmrGraph, gold: AmrGraph) -> list[Optional[str]]:
+def _greedy_assign(pred: AmrGraph, gold: AmrGraph) -> list[Optional[int]]:
     # seed by concept: give each predicted variable the first free
     # reference variable carrying the same concept, then fill leftovers
-    gold_by_concept: dict[str, list[str]] = {}
-    for var, concept in gold.instances.items():
-        gold_by_concept.setdefault(concept.label, []).append(var.name)
-    assign: list[Optional[str]] = []
+    gold_by_concept: dict[str, list[int]] = {}
+    for k, concept in enumerate(gold.instances.values()):
+        gold_by_concept.setdefault(concept.label, []).append(k)
+    assign: list[Optional[int]] = []
     for concept in pred.instances.values():
         candidates = gold_by_concept.get(concept.label)
         assign.append(candidates.pop(0) if candidates else None)
     taken = set(assign)
-    free = iter([v.name for v in gold.variables() if v.name not in taken])
-    return [name if name is not None else next(free, None) for name in assign]
+    free = iter([k for k in range(len(gold.instances)) if k not in taken])
+    return [a if a is not None else next(free, None) for a in assign]
 
 
-def _random_assign(
-    pred_count: int, gold_names: list[str], rng: random.Random
-) -> list[Optional[str]]:
+def _random_assign(pred_count: int, gold_count: int, rng: random.Random) -> list[Optional[int]]:
     pred_order = list(range(pred_count))
-    gold_order = list(gold_names)
+    gold_order = list(range(gold_count))
     rng.shuffle(pred_order)
     rng.shuffle(gold_order)
-    assign: list[Optional[str]] = [None] * pred_count
-    for pred_pos, gold_name in zip(pred_order, gold_order):
-        assign[pred_pos] = gold_name
+    assign: list[Optional[int]] = [None] * pred_count
+    for pred_pos, gold_pos in zip(pred_order, gold_order):
+        assign[pred_pos] = gold_pos
     return assign
 
 
-def _reassign(
-    assign: list[Optional[str]], i: int, name: Optional[str], holder: Optional[int]
-) -> None:
-    # variable i takes ``name``; its holder, if any, takes i's old name
-    if holder is not None:
-        assign[holder] = assign[i]
-    assign[i] = name
-
-
-def _climb(weights: _Weights, assign: list[Optional[str]], gold_names: list[str]) -> int:
+def _climb(weights: _Weights, assign: list[Optional[int]]) -> int:
     """Steepest ascent: repeatedly take the single re-assignment or swap
     that raises the matched count the most, until none does.  Returns the
     final matched count.
 
-    Variable ``i`` holding ``c`` tries only the names with a term for
-    ``i`` and those of holders with a term for ``c``: any other move
-    leaves both moved variables without terms, so its gain is at most 0
-    and the strict ``>`` never takes it.  Tried names keep ``gold_names``
-    order, so each step takes the move a full scan would.
+    Variable ``i`` holding ``c`` tries only the reference variables with
+    a term for ``i`` and those of holders with a term for ``c``: any other
+    move leaves both moved variables without terms, so its gain is at
+    most 0 and the strict ``>`` never takes it.  Tried targets go in
+    position order, so each step takes the move a full scan would.
     """
     unary, links = weights.unary, weights.links
-    position = {name: k for k, name in enumerate(gold_names)}
-    # cand[i]: the positions of the names with a term for variable i
-    cand = [
-        {position[a] for a in u} | {position[a] for _, t in ts for a, _ in t}
-        for u, ts in zip(unary, links)
-    ]
-    wanted_by = {a: [i for i, c in enumerate(cand) if k in c] for k, a in enumerate(gold_names)}
+    # cand[i]: the reference variables with a term for variable i
+    cand = [set(u).union(a for _, t in ts for a, _ in t) for u, ts in zip(unary, links)]
+    wanted_by = {a: [i for i, c in enumerate(cand) if a in c] for a in set().union(*cand)}
     matched = weights.count(assign)
     while True:
-        owner = {name: i for i, name in enumerate(assign) if name is not None}
+        owner = {a: i for i, a in enumerate(assign) if a is not None}
         # every current term of variable v, so a move's gain is after - before
         base = [
-            unary[v].get(name, 0) + sum(t.get((name, assign[j]), 0) for j, t in links[v])
-            for v, name in enumerate(assign)
+            unary[v].get(a, 0) + sum(t.get((a, assign[j]), 0) for j, t in links[v])
+            for v, a in enumerate(assign)
         ]
         best_gain, best_move = 0, None
         for i, current in enumerate(assign):
             helped = [assign[h] for h in wanted_by.get(current, ()) if h != i]
-            for k in sorted(cand[i].union(position[a] for a in helped if a is not None)):
-                name = gold_names[k]
-                if name == current:
+            for a in sorted(cand[i].union(b for b in helped if b is not None)):
+                if a == current:
                     continue
-                # i takes name and its holder current; a joint table's old
+                # i takes a and its holder current; a joint table's old
                 # term is in both bases, so it is added back once
-                holder = owner.get(name)
-                gain = unary[i].get(name, 0) - base[i]
+                holder = owner.get(a)
+                gain = unary[i].get(a, 0) - base[i]
                 for j, t in links[i]:
                     if j == holder:
-                        gain += t.get((name, current), 0) + t.get((current, name), 0)
+                        gain += t.get((a, current), 0) + t.get((current, a), 0)
                     else:
-                        gain += t.get((name, assign[j]), 0)
+                        gain += t.get((a, assign[j]), 0)
                 if holder is not None:
                     gain += unary[holder].get(current, 0) - base[holder]
                     for j, t in links[holder]:
                         if j != i:
                             gain += t.get((current, assign[j]), 0)
                 if gain > best_gain:
-                    best_gain, best_move = gain, (i, name, holder)
+                    best_gain, best_move = gain, (i, a, holder)
         if best_move is None:
             return matched
-        _reassign(assign, *best_move)
+        i, a, holder = best_move
+        if holder is not None:
+            assign[holder] = assign[i]
+        assign[i] = a
         matched += best_gain
 
 
@@ -356,21 +346,19 @@ def match_hillclimb(
     bound on the exact optimum and is deterministic for a given config.
     """
     weights = _Weights(pred, gold, config.include_top)
-    gold_names = [v.name for v in gold.variables()]
     rng = random.Random(config.seed)
     best_count = -1
-    best_assign: list[Optional[str]] = [None] * len(weights.names)
+    best_assign: list[Optional[int]] = []
     for attempt in range(config.restarts):
         if attempt == 0:
             assign = _greedy_assign(pred, gold)
         else:
-            assign = _random_assign(len(weights.names), gold_names, rng)
-        matched = _climb(weights, assign, gold_names)
+            assign = _random_assign(len(pred.instances), len(gold.instances), rng)
+        matched = _climb(weights, assign)
         if matched > best_count:
             best_count = matched
             best_assign = assign
-    pairs = zip(weights.names, best_assign)
-    return VarMapping(tuple((name, gold) for name, gold in pairs if gold is not None)), best_count
+    return _mapping(pred, gold, best_assign), best_count
 
 
 def score_pair(
@@ -387,10 +375,12 @@ def score_pair(
         _, matched = match_exact(pred, gold, config)
     else:
         _, matched = match_hillclimb(pred, gold, config)
-    # the triple totals: one per variable, one per edge, plus the root marker
-    pred_total = len(pred.instances) + len(pred.edges) + config.include_top
-    gold_total = len(gold.instances) + len(gold.edges) + config.include_top
-    return SmatchScore.from_counts(matched, pred_total, gold_total)
+    return SmatchScore.from_counts(matched, _total(pred, config), _total(gold, config))
+
+
+def _total(graph: AmrGraph, config: MatchConfig) -> int:
+    # the triple total: one per variable, one per edge, plus the root marker
+    return len(graph.instances) + len(graph.edges) + config.include_top
 
 
 def _score_indexed(
@@ -400,8 +390,7 @@ def _score_indexed(
     if pred is None:
         # a missing prediction contributes its reference size to recall
         # and nothing else
-        gold_total = len(gold.instances) + len(gold.edges) + config.include_top
-        return SmatchScore.from_counts(0, 0, gold_total)
+        return SmatchScore.from_counts(0, 0, _total(gold, config))
     return score_pair(pred, gold, replace(config, seed=config.seed ^ index))
 
 

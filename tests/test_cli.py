@@ -6,13 +6,15 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import amrkit
-from amrkit.cli import main
+from amrkit.cli import _align_pairs, main
 from genutil import (
     AND_ARITY_BAD,
     ILLEGAL_ARG_BAD,
@@ -21,6 +23,9 @@ from genutil import (
     WANT_GO_CANONICAL,
     WANT_GO_PRETTY,
     corpus_text,
+    planted_corpus,
+    random_graph,
+    rename_variables,
 )
 
 FIGURE_RECORD = "# ::id fig1\n" + WANT_GO_PRETTY + "\n"
@@ -212,6 +217,18 @@ class TestScore:
         )
         assert main(["score", pred, gold]) == 2
         assert "predictions without references: zz" in capsys.readouterr().err
+
+    def test_pairing_many_ids_in_reverse_order(self):
+        # pairing must stay linear: rebuilding the reference id set for
+        # every prediction took about 30 s of CPU on 20,000 entries
+        gold = [amrkit.CorpusEntry({"id": f"s{k}"}, "( x / boy )") for k in range(20000)]
+        pred = [amrkit.CorpusEntry({"id": e.id}, "( p / boy )") for e in reversed(gold)]
+        start = time.perf_counter()
+        pairs, labels = _align_pairs(pred, gold)
+        assert time.perf_counter() - start < 5
+        assert labels == [e.id for e in gold]
+        assert [(p.id, g.id) for p, g in pairs] == [(e.id, e.id) for e in gold]
+        assert all(p.graph_text == "( p / boy )" for p, _ in pairs)
 
     def test_positional_pairing_length_mismatch(self, corpus_file, capsys):
         gold = corpus_file("gold.amr", "( x / boy )\n\n( y / girl )\n")
@@ -470,6 +487,51 @@ class TestProcessCost:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert left == []
+
+
+class TestHashSeed:
+    """Reports must not depend on string hash order: pools that start
+    workers by spawn give each worker its own hash seed, so such a report
+    would change with ``--jobs``."""
+
+    def test_reports_identical_under_every_hash_seed(self, corpus_file):
+        rng = random.Random(9)
+        files = {}
+        for name, min_vars, max_vars in (("exact", 4, 8), ("hill", 9, 20)):
+            gold_records, pred_records = [], []
+            for index in range(6):
+                gold = random_graph(rng, max_vars, min_vars)
+                if index % 2:
+                    pred = rename_variables(gold, rng)
+                else:
+                    pred = random_graph(rng, max_vars, min_vars)
+                gold_records.append((f"{name}{index}", amrkit.serialize_canonical(gold)))
+                pred_records.append((f"{name}{index}", amrkit.serialize_canonical(pred)))
+            files[name] = (
+                corpus_file(f"{name}-pred.amr", corpus_text(pred_records)),
+                corpus_file(f"{name}-gold.amr", corpus_text(gold_records)),
+            )
+        defects = [(AND_ARITY_BAD, 2), (ILLEGAL_ARG_BAD, 2), (STRUCTURAL_BAD, 2)]
+        document, _ = planted_corpus(3, 40, defects)
+        commands = [["score", *files[name], "--restarts", "2"] for name in files]
+        commands.append(["validate", corpus_file("silver.amr", document)])
+        package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+        outputs = set()
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONPATH=package_root, PYTHONHASHSEED=str(hash_seed))
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "amrkit", *command],
+                    capture_output=True,
+                    timeout=120,
+                    env=env,
+                )
+                for command in commands
+            ]
+            outputs.add(tuple((run.returncode, run.stdout) for run in runs))
+        assert len(outputs) == 1
+        (codes_and_reports,) = outputs
+        assert [code for code, _ in codes_and_reports] == [0, 0, 1]
 
 
 class TestConsoleScript:

@@ -350,23 +350,26 @@ class TestClimbOracle:
         for _ in range(30):
             pred, gold = random_graph(rng, 20, min_vars=2), random_graph(rng, 20, min_vars=2)
             gold_names = [v.name for v in gold.variables()]
-            start = _random_assign(len(pred.instances), gold_names, rng)
+            start = _random_assign(len(pred.instances), len(gold_names), rng)
             assign = list(start)
-            count = _climb(_Weights(pred, gold, include_top), assign, gold_names)
+            count = _climb(_Weights(pred, gold, include_top), assign)
+            # the oracle climbs on names: translate the positions for it
             state = smatch_climb._MatchState(
                 smatch_climb._PredSide(pred, include_top),
                 smatch_climb._gold_keys(gold, include_top),
-                list(start),
+                [None if a is None else gold_names[a] for a in start],
             )
             smatch_climb._climb(state, gold_names)
-            assert (assign, count) == (state.assign, state.matched)
+            names = [None if a is None else gold_names[a] for a in assign]
+            assert (names, count) == (state.assign, state.matched)
 
     def test_swap_that_breaks_a_matched_relation(self):
         # swapping loses the matched :ARG0 but wins both concepts
         pred, gold = parse("( i / x :ARG0 ( h / y ) )"), parse("( p / y :ARG0 ( q / x ) )")
-        assign = ["p", "q"]
-        assert _climb(_Weights(pred, gold, include_top=False), assign, ["p", "q"]) == 2
-        assert assign == ["q", "p"]
+        gold_names = ["p", "q"]
+        assign = [0, 1]
+        assert _climb(_Weights(pred, gold, include_top=False), assign) == 2
+        assert [gold_names[a] for a in assign] == ["q", "p"]
 
     @pytest.mark.parametrize("include_top", [True, False])
     def test_lopsided_pairs(self, include_top):
