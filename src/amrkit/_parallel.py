@@ -12,14 +12,16 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     """Apply ``fn`` to every item and return the results in input order.
 
     With ``jobs > 1`` and more than one item the calls run in ``jobs``
-    worker processes, in chunks of about an eighth of each worker's
-    share; otherwise they run in this process.  ``fn`` and the items must
-    pickle, and the result never depends on the worker count.
+    worker processes, never more than there are items, in chunks of about
+    an eighth of each worker's share; otherwise they run in this process.
+    ``fn`` and the items must pickle, and the result never depends on the
+    worker count.
     """
     if jobs > 1 and len(items) > 1:
         # imported here so a single-process run never pays for it
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(items) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under the fork start method a pool starts every worker at its first task
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
     return [fn(item) for item in items]

@@ -53,6 +53,8 @@ def _read_entries(path: str) -> list[CorpusEntry]:
         return read_amr_file(path)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise CliError(f"cannot read {path}: {err}") from err
     except CorpusFormatError as err:
         raise CliError(f"{path}: {err}") from err
 
@@ -189,7 +191,12 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
             )
     if failed:
         return 2
-    text = format_amr_document(entries, canonical=True, remove_wiki=not args.keep_wiki)
+    try:
+        text = format_amr_document(entries, canonical=True, remove_wiki=not args.keep_wiki)
+    except ValueError as err:
+        # a graph that parses can still lack a canonical form: without its
+        # :wiki edge, a node may be connected only by its own outgoing edges
+        raise CliError(str(err)) from err
     _write_text(args.output, text)
     return 0
 
@@ -237,6 +244,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
     except (OSError, LexiconError) as err:
         raise CliError(str(err)) from err
+    except UnicodeDecodeError as err:
+        # the file is decoded chunk by chunk, so err.start is no file offset
+        raise CliError(
+            f"cannot read {args.lexicon}: not {err.encoding} text ({err.reason})"
+        ) from err
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
     entries = _read_entries(args.input)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 from ._parallel import parallel_map
@@ -42,14 +43,14 @@ class CorpusEntry:
     graph_text: str
     source_line: int = 0
     graph_line: int = 0
-    _cache: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     @property
     def id(self) -> Optional[str]:
-        return self.metadata.get("id")
+        """The ``::id`` value; None when it is absent or empty."""
+        return self.metadata.get("id") or None
 
     @property
     def snt(self) -> Optional[str]:
@@ -60,35 +61,25 @@ class CorpusEntry:
         """Metadata keys other than ``id`` and ``snt``, in file order."""
         return [(k, v) for k, v in self.metadata.items() if k not in ("id", "snt")]
 
-    def _parse_once(self) -> tuple[Optional[AmrGraph], Optional[ParseError]]:
-        if self._cache is None:
-            try:
-                result = (parse(self.graph_text), None)
-            except ParseError as err:
-                # drop the traceback: its frames would tie callers' locals into a cycle
-                result = (None, err.with_traceback(None))
-            object.__setattr__(self, "_cache", result)
-        return self._cache
+    # a frozen dataclass still takes this: cached_property writes __dict__ directly
+    @cached_property
+    def _parsed(self) -> tuple[Optional[AmrGraph], Optional[ParseError]]:
+        try:
+            return parse(self.graph_text), None
+        except ParseError as err:
+            # drop the traceback: its frames would tie callers' locals into a cycle
+            return None, err.with_traceback(None)
 
     @property
     def graph(self) -> Optional[AmrGraph]:
-        return self._parse_once()[0]
+        return self._parsed[0]
 
     @property
     def parse_error(self) -> Optional[ParseError]:
-        return self._parse_once()[1]
+        return self._parsed[1]
 
 
 _META_KEY_RE = re.compile(r"::(\S+)")
-
-
-def _read_meta_line(line: str, meta: dict[str, str]) -> None:
-    # a '#' line may carry several '::key value' fields; each value runs
-    # to the next '::' or the end of the line
-    marks = list(_META_KEY_RE.finditer(line))
-    for pos, mark in enumerate(marks):
-        end = marks[pos + 1].start() if pos + 1 < len(marks) else len(line)
-        meta[mark.group(1)] = line[mark.end() : end].strip()
 
 
 def entries_from_text(text: str) -> list[CorpusEntry]:
@@ -98,51 +89,37 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     text, and for two records sharing an ``::id``.
     """
     entries: list[CorpusEntry] = []
-    meta: dict[str, str] = {}
-    graph_lines: list[str] = []
-    block_start = 0
-    graph_start = 0
-
-    def flush() -> None:
-        nonlocal meta, graph_lines
-        if meta and not graph_lines:
-            label = meta.get("id") or f"line {block_start}"
-            raise CorpusFormatError(f"record {label} has no PENMAN block")
+    numbered = enumerate(text.splitlines(), start=1)
+    for filled, block in groupby(numbered, lambda item: bool(item[1].strip())):
+        if not filled:
+            continue
+        meta: dict[str, str] = {}
+        graph_lines: list[str] = []
+        source_line = graph_line = 0
+        for lineno, line in block:
+            # a block has no blank line, so [0] exists; it beats startswith
+            if line.lstrip()[0] != "#":
+                graph_lines.append(line)
+                graph_line = graph_line or lineno
+            # a '#' line may carry several '::key value' fields; each value
+            # runs to the next '::' or the end of the line
+            elif len(fields := _META_KEY_RE.split(line)) > 1:
+                meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
+            else:
+                continue  # a plain comment, which does not start the record
+            source_line = source_line or lineno
         if graph_lines:
-            entries.append(
-                CorpusEntry(
-                    metadata=meta,
-                    graph_text="\n".join(graph_lines),
-                    source_line=block_start,
-                    graph_line=graph_start,
-                )
-            )
-        meta = {}
-        graph_lines = []
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            flush()
-            continue
-        if not meta and not graph_lines:
-            block_start = lineno
-        if line.lstrip().startswith("#"):
-            # '#' lines without '::' fields are plain comments
-            _read_meta_line(line, meta)
-        else:
-            if not graph_lines:
-                graph_start = lineno
-            graph_lines.append(line)
-    flush()
-    seen: dict[str, int] = {}
+            entries.append(CorpusEntry(meta, "\n".join(graph_lines), source_line, graph_line))
+        elif meta:
+            label = meta.get("id") or f"line {source_line}"
+            raise CorpusFormatError(f"record {label} has no PENMAN block")
+    first_line: dict[Optional[str], int] = {}
     for entry in entries:
-        if entry.id is None:
-            continue
-        if entry.id in seen:
+        first = first_line.setdefault(entry.id, entry.source_line)
+        if first != entry.source_line and entry.id is not None:
             raise CorpusFormatError(
-                f"duplicate ::id {entry.id!r} at lines {seen[entry.id]} and {entry.source_line}"
+                f"duplicate ::id {entry.id!r} at lines {first} and {entry.source_line}"
             )
-        seen[entry.id] = entry.source_line
     return entries
 
 
@@ -161,29 +138,30 @@ def format_amr_document(
 
     With ``canonical`` each graph is rewritten in canonical single-line
     form (optionally after wiki removal); entries that do not parse make
-    this impossible, so they raise a ValueError naming every offender.
+    this impossible, so they raise a ValueError naming every offender, and
+    a graph the canonical form cannot write raises one naming its entry.
     With ``canonical=False`` the raw graph text is written back unchanged.
     """
     blocks: list[str] = []
     bad: list[str] = []
     for position, entry in enumerate(entries):
+        label = entry.id or f"entry {position + 1}"
         lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
-        if canonical:
-            graph = entry.graph
-            if graph is None:
-                bad.append(entry.id or f"entry {position + 1}")
-                continue
-            if remove_wiki:
-                graph = strip_wiki(graph)
-            lines.append(serialize_canonical(graph))
-        else:
+        if not canonical:
             lines.append(entry.graph_text)
-        blocks.append("\n".join(lines))
+        elif entry.graph is None:
+            bad.append(label)
+        else:
+            graph = strip_wiki(entry.graph) if remove_wiki else entry.graph
+            try:
+                lines.append(serialize_canonical(graph))
+            except ValueError as err:
+                raise ValueError(f"{label}: {err}") from err
+        # each block ends in a newline, and a blank line separates blocks
+        blocks.append("\n".join(lines) + "\n")
     if bad:
         raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
-    if not blocks:
-        return ""
-    return "\n\n".join(blocks) + "\n"
+    return "\n".join(blocks)
 
 
 def write_amr_file(
@@ -220,12 +198,10 @@ class FilterOutcome:
     def discarded_n(self) -> int:
         return len(self.results) - self.kept_n
 
-    def violation_counts(self) -> dict[Rule, int]:
-        counts: dict[Rule, int] = {}
-        for _, report in self.results:
-            for violation in report.violations:
-                counts[violation.rule] = counts.get(violation.rule, 0) + 1
-        return counts
+    def violation_counts(self) -> Counter[Rule]:
+        return Counter(
+            violation.rule for _, report in self.results for violation in report.violations
+        )
 
 
 def _validate_one(
@@ -260,10 +236,6 @@ def filter_corpus(
     return FilterOutcome(tuple(zip(entries, reports)))
 
 
-def _shuffled_indices(count: int, seed: int) -> list[int]:
-    return random.Random(seed).sample(range(count), count)
-
-
 def split_corpus(
     entries: Sequence[CorpusEntry],
     test_size: int,
@@ -280,10 +252,8 @@ def split_corpus(
         raise ValueError(
             f"test_size must be between 0 and {len(entries)}, got {test_size}"
         )
-    order = _shuffled_indices(len(entries), seed)
-    test = [entries[index] for index in order[:test_size]]
-    train = [entries[index] for index in order[test_size:]]
-    return train, test
+    shuffled = random.Random(seed).sample(entries, len(entries))
+    return shuffled[test_size:], shuffled[:test_size]
 
 
 def sample_corpus(
@@ -299,8 +269,7 @@ def sample_corpus(
     """
     if not 0 <= size <= len(entries):
         raise ValueError(f"size must be between 0 and {len(entries)}, got {size}")
-    order = _shuffled_indices(len(entries), seed)
-    return [entries[index] for index in order[:size]]
+    return random.Random(seed).sample(entries, len(entries))[:size]
 
 
 @dataclass(frozen=True)
@@ -326,15 +295,11 @@ def top_node_stats(
     ``k`` the table keeps only the k most frequent labels; the totals
     still cover the whole corpus.
     """
-    counts: Counter = Counter()
-    skipped = 0
-    for entry in entries:
-        graph = entry.graph
-        if graph is None:
-            skipped += 1
-            continue
-        counts[graph.top_concept().label] += 1
+    counts = Counter(
+        entry.graph.top_concept().label for entry in entries if entry.graph is not None
+    )
     rows = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
     if k is not None:
         rows = rows[:k]
-    return NodeFrequencyTable(tuple(rows), sum(counts.values()), skipped)
+    counted = sum(counts.values())
+    return NodeFrequencyTable(tuple(rows), counted, len(entries) - counted)

@@ -96,6 +96,33 @@ class TestCanonicalize:
         assert main(["canonicalize", path]) == 2
         assert "duplicate ::id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["canonicalize", "validate", "stats"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "in.amr"
+        path.write_bytes(b"# ::id a\n( x / boy\xff )\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"amrkit: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 18: invalid start byte\n"
+        )
+
+    def test_graph_without_canonical_form_exits_2(self, corpus_file, tmp_path, capsys):
+        # dropping :wiki leaves w connected only by its own :ARG0 edge to
+        # the root, which the canonical form cannot write
+        graph = "( a / x :wiki ( w / y :ARG0 a ) )"
+        path = corpus_file("in.amr", corpus_text([("a1", graph)]))
+        out_path = tmp_path / "out.amr"
+        assert main(["canonicalize", path, "-o", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            "amrkit: a1: no expansion site for variables only connected against "
+            "edge direction: w\n"
+        )
+        assert not out_path.exists()
+        assert main(["canonicalize", path, "--keep-wiki"]) == 0
+        assert capsys.readouterr().out == f"# ::id a1\n{graph}\n"
+
 
 class TestValidate:
     def test_all_valid(self, corpus_file, capsys):
@@ -152,6 +179,17 @@ class TestValidate:
         path = corpus_file("in.amr", FIGURE_RECORD)
         assert main(["validate", path, "--lexicon", lexicon_path]) == 2
         assert "expected" in capsys.readouterr().err
+
+    def test_non_utf8_lexicon_exits_2(self, corpus_file, tmp_path, capsys):
+        lexicon_path = tmp_path / "frames.tsv"
+        lexicon_path.write_bytes(b"want-01\tARG0\xff\n")
+        path = corpus_file("in.amr", FIGURE_RECORD)
+        assert main(["validate", path, "--lexicon", str(lexicon_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"amrkit: cannot read {lexicon_path}: not utf-8 text (invalid start byte)\n"
+        )
 
     def test_unknown_frames_flag(self, corpus_file, capsys):
         path = corpus_file("in.amr", corpus_text([("z", "( z / zorch-01 )")]))

@@ -91,6 +91,34 @@ class TestReading:
         entries = entries_from_text(text)
         assert ids(entries) == ["a"]
 
+    def test_crlf_line_ends(self):
+        text = "# ::id a ::snt hi\r\n( x / boy\r\n  :mod ( y / small ) )\r\n\r\n( z / girl )\r\n"
+        first, second = entries_from_text(text)
+        assert first.metadata == {"id": "a", "snt": "hi"}
+        assert first.graph_text == "( x / boy\n  :mod ( y / small ) )"
+        assert (first.source_line, first.graph_line) == (1, 2)
+        assert (second.source_line, second.graph_line) == (5, 5)
+
+    def test_several_fields_on_a_line_after_graph_text(self):
+        text = "( x / boy )\n# ::id a ::snt the boy ::tok the boy\n"
+        [entry] = entries_from_text(text)
+        assert entry.metadata == {"id": "a", "snt": "the boy", "tok": "the boy"}
+        assert entry.graph_text == "( x / boy )"
+        assert (entry.source_line, entry.graph_line) == (1, 1)
+
+    def test_source_line_skips_plain_comments(self):
+        text = "# banner\n#\n# ::id a\n( x / boy )\n\n# note\n( y / girl )\n"
+        first, second = entries_from_text(text)
+        assert (first.source_line, first.graph_line) == (3, 4)
+        assert (second.source_line, second.graph_line) == (7, 7)
+
+    def test_empty_id_is_no_id(self):
+        entries = entries_from_text("# ::id\n( x / boy )\n\n# ::id ::snt hi\n( y / girl )\n")
+        assert ids(entries) == [None, None]
+        assert entries[0].metadata == {"id": ""}
+        # the empty value is still metadata, so it is written back
+        assert format_amr_document(entries[:1]) == "# ::id\n( x / boy )\n"
+
     def test_read_file(self, tmp_path):
         path = tmp_path / "corpus.amr"
         path.write_text(FIGURE_RECORD, encoding="utf-8")
@@ -149,6 +177,17 @@ class TestFormatErrors:
         ):
             entries_from_text(text)
 
+    def test_duplicate_after_a_banner_reports_record_lines(self):
+        text = "# banner\n# ::id a\n( x / boy )\n\n# ::id a\n( y / girl )"
+        with pytest.raises(CorpusFormatError, match=r"^duplicate ::id 'a' at lines 2 and 5$"):
+            entries_from_text(text)
+
+    def test_missing_penman_block_reported_before_duplicates(self):
+        # ids are compared only after every record is read
+        text = corpus_text([("a", "( x / boy )"), ("a", "( y / girl )")]) + "\n# ::id c\n"
+        with pytest.raises(CorpusFormatError, match=r"^record c has no PENMAN block$"):
+            entries_from_text(text)
+
     def test_missing_ids_do_not_clash(self):
         entries = entries_from_text("( x / boy )\n\n( y / girl )\n")
         assert len(entries) == 2
@@ -198,6 +237,16 @@ class TestWriting:
 
     def test_empty_document(self):
         assert format_amr_document([]) == ""
+
+    def test_graph_without_canonical_form_names_its_entry(self):
+        # without its :wiki edge, w is connected only against edge direction
+        text = corpus_text([("ok", "( x / boy )")]) + "\n( a / x :wiki ( w / y :ARG0 a ) )\n"
+        entries = entries_from_text(text)
+        with pytest.raises(ValueError, match=r"^entry 2: no expansion site .*: w$"):
+            format_amr_document(entries)
+        assert format_amr_document(entries, remove_wiki=False).endswith(
+            "( a / x :wiki ( w / y :ARG0 a ) )\n"
+        )
 
     def test_write_and_read_file(self, tmp_path):
         entries = entries_from_text(FIGURE_RECORD)

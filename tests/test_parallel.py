@@ -4,6 +4,7 @@ corpora of zero to four entries."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from amrkit import (
     parse,
     score_corpus,
 )
+from amrkit._parallel import parallel_map
 from genutil import STRUCTURAL_BAD, VALID_TEMPLATES, corpus_text, random_graph, rename_variables
 
 # the unparseable entry sits in the middle, so every size from 2 up has it
@@ -65,6 +67,38 @@ def test_score_corpus_any_jobs(size):
         # the missing prediction scores nothing and keeps its reference size
         assert (pooled[1][1].matched, pooled[1][1].pred_total) == (0, 0)
         assert pooled[1][1].gold_total == len(pairs[1][1].triples(True))
+
+
+@pytest.mark.parametrize(
+    "jobs, count, workers, chunk",
+    [(64, 3, 3, 1), (4, 4, 4, 1), (2, 40, 2, 2), (3, 100, 3, 4), (8, 2, 2, 1)],
+)
+def test_pool_never_outnumbers_items(monkeypatch, jobs, count, workers, chunk):
+    # a stand-in pool that records its size and runs in this process, so
+    # no worker starts however many are asked for
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize):
+            made.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert parallel_map(abs, range(-count, 0), jobs) == list(range(count, 0, -1))
+    assert made == [workers, chunk]
+    made.clear()
+    assert parallel_map(abs, [-1], jobs) == [1]
+    assert parallel_map(abs, range(-count, 0), 1) == list(range(count, 0, -1))
+    assert made == []
 
 
 # one pair: a graph seed, whether the reference is above the exact
