@@ -26,6 +26,7 @@ from .corpus import (
     CorpusEntry,
     CorpusFormatError,
     FilterOutcome,
+    _entry_label,
     entries_from_text,
     filter_corpus,
     format_amr_document,
@@ -68,10 +69,6 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
     except OSError as err:
         raise CliError(f"cannot write {path}: {err.strerror or err}") from err
-
-
-def _entry_label(entry: CorpusEntry, position: int) -> str:
-    return entry.id or f"#{position + 1}"
 
 
 # built once per process: each build leaves its formatters and argument

@@ -79,6 +79,12 @@ class CorpusEntry:
         return self._parsed[1]
 
 
+def _entry_label(entry: CorpusEntry, position: int) -> str:
+    """How messages name an entry: its ``::id``, else ``#`` and its
+    1-based position in the corpus."""
+    return entry.id or f"#{position + 1}"
+
+
 _META_KEY_RE = re.compile(r"::(\S+)")
 
 
@@ -145,7 +151,7 @@ def format_amr_document(
     blocks: list[str] = []
     bad: list[str] = []
     for position, entry in enumerate(entries):
-        label = entry.id or f"entry {position + 1}"
+        label = _entry_label(entry, position)
         lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
         if not canonical:
             lines.append(entry.graph_text)

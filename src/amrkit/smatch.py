@@ -8,12 +8,13 @@ variable choice and one per linked pair of choices (the design of
 reference Smatch).  The search names each variable by its position in
 definition order; names appear only where a ``VarMapping`` is built
 or read.
-The best mapping is found through that table either exhaustively (small
-graphs; exact by construction) or by steepest-ascent hill-climbing with
-restarts, whose steps try only reference variables that share a
-weighted fact with the moved variable or with the holder of its target:
-the skipped moves cannot raise the count, so every mapping is the one a
-full scan finds.
+The best mapping is found through that table either by a branch-and-bound
+search over the mappings in enumeration order (small graphs; exact, and
+the first optimal mapping a full enumeration finds) or by steepest-ascent
+hill-climbing with restarts, whose steps try only reference variables
+that share a weighted fact with the moved variable or with the holder of
+its target: the skipped moves cannot raise the count, so every mapping
+is the one a full scan finds.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
 one seed per pair from the pair's position and collect per-pair scores
@@ -23,7 +24,6 @@ many worker processes are used.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -97,9 +97,9 @@ class MatchConfig:
     """Settings for the mapping search.
 
     Graphs whose variable counts both stay within ``exact_threshold`` are
-    matched exhaustively; larger ones use hill-climbing with ``restarts``
-    seeded attempts.  ``include_top`` adds the root-marker triple so a
-    wrong root costs one triple.
+    matched exactly by ``match_exact``; larger ones use hill-climbing with
+    ``restarts`` seeded attempts.  ``include_top`` adds the root-marker
+    triple so a wrong root costs one triple.
     """
 
     restarts: int = 4
@@ -220,11 +220,16 @@ def match_exact(
     gold: AmrGraph,
     config: MatchConfig = MatchConfig(),
 ) -> tuple[VarMapping, int]:
-    """Find the best variable mapping by exhausting every injective
-    assignment from the smaller variable set into the larger.
+    """Find the best variable mapping by a branch-and-bound search over
+    the injective assignments from the smaller variable set into the
+    larger.
 
-    Exact by construction.  Cost grows with the number of those
-    assignments, ``math.perm(larger, smaller)`` for the two variable
+    The assignments are searched in enumeration order, and a subtree is
+    skipped when its value so far plus the largest terms its unplaced
+    variables could add does not beat the best assignment found so far.
+    The result is the first optimal assignment in that order, the one a
+    full enumeration finds.  The worst case still visits every
+    assignment, ``math.perm(larger, smaller)`` for the two variable
     counts, so a pair is refused when its smaller side exceeds
     ``config.exact_threshold`` or its assignments outnumber
     ``math.factorial(config.exact_threshold)``.
@@ -241,13 +246,48 @@ def match_exact(
     swapped = len(pred.instances) > len(gold.instances)
     small, large = (gold, pred) if swapped else (pred, gold)
     weights = _Weights(small, large, config.include_top)
+    # each table is charged when its later variable k is placed, keyed
+    # (target of k, target of the earlier one); rest[k] bounds what the
+    # variables from k on can still add
+    charged = [[(j, t) for j, t in links if j < k] for k, links in enumerate(weights.links)]
+    rest = [0] * (smaller + 1)
+    for k in reversed(range(smaller)):
+        tops = [max(table.values()) for _, table in charged[k]]
+        rest[k] = rest[k + 1] + max(weights.unary[k].values(), default=0) + sum(tops)
+    # depth-first over the smaller side's variables in position order;
+    # variable k tries the free targets after chosen[k] in position order,
+    # so leaves come in enumeration order.  A target is skipped when its
+    # subtree cannot beat the best leaf so far, and a leaf is taken only
+    # when strictly better, so the first optimal leaf wins
+    chosen = [-1] * smaller
+    value = [0] * smaller
+    free = [True] * larger
     best_count = -1
     best: tuple[Optional[int], ...] = ()
-    for chosen in itertools.permutations(range(larger), smaller):
-        count = weights.count(chosen)
-        if count > best_count:
-            best_count = count
-            best = chosen
+    k = 0
+    while k >= 0:
+        unary, tables, bound = weights.unary[k], charged[k], rest[k + 1]
+        for a in range(chosen[k] + 1, larger):
+            if not free[a]:
+                continue
+            reached = value[k] + unary.get(a, 0)
+            for e, table in tables:
+                reached += table.get((a, chosen[e]), 0)
+            if reached + bound > best_count:
+                break
+        else:
+            # every target tried: free the previous variable's and go back
+            k -= 1
+            if k >= 0:
+                free[chosen[k]] = True
+            continue
+        chosen[k] = a
+        if k + 1 == smaller:
+            best_count, best = reached, tuple(chosen)
+        else:
+            free[a] = False
+            k += 1
+            chosen[k], value[k] = -1, reached
     if swapped:
         best = tuple(best.index(k) if k in best else None for k in range(larger))
     return _mapping(pred, gold, best), best_count

@@ -123,6 +123,15 @@ class TestCanonicalize:
         assert main(["canonicalize", path, "--keep-wiki"]) == 0
         assert capsys.readouterr().out == f"# ::id a1\n{graph}\n"
 
+    def test_entry_without_id_is_named_by_position(self, corpus_file, capsys):
+        # parse diagnostics and the writer's errors name it the same way
+        path = corpus_file("broken.amr", "( a / boy )\n\n( b / boy\n")
+        assert main(["canonicalize", path]) == 2
+        assert capsys.readouterr().err == "#2: 3:10: UnbalancedParen: missing ')'\n"
+        path = corpus_file("unwritable.amr", "( a / x :wiki ( w / y :ARG0 a ) )\n")
+        assert main(["canonicalize", path]) == 2
+        assert capsys.readouterr().err.startswith("amrkit: #1: no expansion site")
+
 
 class TestValidate:
     def test_all_valid(self, corpus_file, capsys):

@@ -242,7 +242,7 @@ class TestWriting:
         # without its :wiki edge, w is connected only against edge direction
         text = corpus_text([("ok", "( x / boy )")]) + "\n( a / x :wiki ( w / y :ARG0 a ) )\n"
         entries = entries_from_text(text)
-        with pytest.raises(ValueError, match=r"^entry 2: no expansion site .*: w$"):
+        with pytest.raises(ValueError, match=r"^#2: no expansion site .*: w$"):
             format_amr_document(entries)
         assert format_amr_document(entries, remove_wiki=False).endswith(
             "( a / x :wiki ( w / y :ARG0 a ) )\n"

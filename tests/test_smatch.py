@@ -213,6 +213,28 @@ class TestMatchExact:
         _, count = match_exact(graph, graph, MatchConfig(exact_threshold=3))
         assert count == len(graph.triples(True))
 
+    def test_search_is_bounded_on_renamed_copies_of_12_to_14_variables(self):
+        # enumerating every mapping would take up to 14!, about 8.7e10,
+        # leaves; a renamed copy keeps definition order, so the first leaf
+        # is optimal and every other subtree must be skipped by its bound
+        rng = random.Random(1214)
+        config = MatchConfig(exact_threshold=14)
+        for n in (12, 13, 14) * 3:
+            gold = random_graph(rng, n, min_vars=n)
+            pred = rename_variables(gold, rng)
+            mapping, count = match_exact(pred, gold, config)
+            assert count == len(gold.triples(True))
+            assert matched_triples(pred, gold, mapping) == count
+
+    def test_search_depth_is_not_limited_by_recursion(self):
+        # one search level per variable of the smaller side: more levels
+        # than the interpreter's default recursion limit of 1,000
+        rng = random.Random(1100)
+        gold = random_graph(rng, 1100, min_vars=1100)
+        pred = rename_variables(gold, rng)
+        _, count = match_exact(pred, gold, MatchConfig(exact_threshold=1100))
+        assert count == len(gold.triples(True))
+
     def test_smaller_pred_side(self):
         pred = parse("( b / boy )")
         gold = figure()
@@ -231,6 +253,19 @@ class TestMatchExact:
         # unmapped predicted variables stay out of the mapping
         assert len(mapping) == 1
         assert matched_triples(pred, gold, mapping) == count
+
+
+def with_repeated_relations(graph: AmrGraph, rng: random.Random, count: int = 2) -> AmrGraph:
+    """``graph`` plus up to ``count`` relations between variables it
+    already links: a repeat of an edge, the same pair under another
+    role, or the pair the other way round."""
+    edges = [(e.source, e.role, e.target) for e in graph.edges]
+    linked = [e for e in edges if isinstance(e[2], Variable) and e[2] != e[0]]
+    for source, role, target in rng.sample(linked, min(count, len(linked))):
+        other_role = rng.choice(ROLES)
+        extra = [(source, role, target), (source, other_role, target), (target, role, source)]
+        edges.append(rng.choice(extra))
+    return AmrGraph.build(graph.root, dict(graph.instances), edges)
 
 
 def _size_class(pred: AmrGraph, gold: AmrGraph) -> str:
@@ -257,6 +292,27 @@ class TestExactOracle:
             if seen[size_class] >= per_class:
                 continue
             seen[size_class] += 1
+            assert match_exact(pred, gold, config) == match_exact_two_loops(pred, gold, config)
+
+    @pytest.mark.parametrize("include_top", [True, False])
+    def test_same_mapping_and_count_as_oracle_at_7_and_8_variables(self, include_top):
+        # up to 8 variables, where the bound skips most of the enumeration:
+        # lopsided pairs of 3-8 against 8 variables in both directions, then
+        # unrelated, renamed and nearly equal 7-variable pairs, all with
+        # repeated relations
+        rng = random.Random(707)
+        config = MatchConfig(include_top=include_top)
+        pairs = []
+        for n in range(3, 9):
+            small = random_graph(rng, n, min_vars=n)
+            large = with_repeated_relations(random_graph(rng, 8, min_vars=8), rng)
+            pairs += [(small, large), (large, small)] if n < 8 else [(small, large)]
+        for _ in range(3):
+            gold = with_repeated_relations(random_graph(rng, 7, min_vars=7), rng)
+            unrelated = random_graph(rng, 7, min_vars=7)
+            preds = [rename_variables(gold, rng), near_copy(gold, rng), unrelated]
+            pairs += [(with_repeated_relations(pred, rng), gold) for pred in preds]
+        for pred, gold in pairs:
             assert match_exact(pred, gold, config) == match_exact_two_loops(pred, gold, config)
 
     def test_oracle_refuses_like_match_exact(self):
