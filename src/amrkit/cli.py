@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-f1",
         type=float,
-        help="exit with status 1 if the aggregate F1 falls below this",
+        help="exit with status 1 if the aggregate F1 falls below this (0 to 1)",
     )
     p.set_defaults(handler=cmd_score)
 
@@ -322,6 +322,9 @@ def _score_report(
 def cmd_score(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
+    # written so that NaN fails too: it would compare false against any F1
+    if args.min_f1 is not None and not 0 <= args.min_f1 <= 1:
+        raise CliError(f"--min-f1 must be between 0 and 1, got {args.min_f1}")
     try:
         config = MatchConfig(
             restarts=args.restarts,

@@ -14,7 +14,10 @@ the first optimal mapping a full enumeration finds) or by steepest-ascent
 hill-climbing with restarts, whose steps try only reference variables
 that share a weighted fact with the moved variable or with the holder of
 its target: the skipped moves cannot raise the count, so every mapping
-is the one a full scan finds.
+is the one a full scan finds.  The climb keeps, per predicted variable, a
+field of what its terms would add up to at each reference variable; a
+move's gain is read off the fields of the two variables it moves, exactly
+the change of the count, and a move updates only its neighbours' fields.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
 one seed per pair from the pair's position and collect per-pair scores
@@ -28,7 +31,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from ._parallel import parallel_map
@@ -176,6 +179,7 @@ class _Weights:
         pred_unary, pred_binary = _facts(pred, include_top)
         gold_unary, gold_binary = _facts(gold, include_top)
         self.unary = list(_overlap(pred_unary, gold_unary).values())
+        self.gold_count = len(gold.instances)
         self.pairs = [
             (i, j, table) for (i, j), table in _overlap(pred_binary, gold_binary).items() if table
         ]
@@ -191,6 +195,33 @@ class _Weights:
         for i, j, table in self.pairs:
             total += table.get((assign[i], assign[j]), 0)
         return total
+
+    @cached_property
+    def climb_index(self) -> tuple[list, dict, list, list]:
+        """The lookups of ``_climb``, built once per pair of graphs.
+
+        ``cand[i]``: the reference variables with a term for predicted
+        variable ``i``; ``wanted_by[a]``: the variables whose ``cand``
+        holds ``a``; ``neighbours[j][k][b]``, for each ``k`` sharing a
+        table with ``j``: the ``(a, n)`` where ``n`` triples match under
+        ``k -> a`` and ``j -> b``; ``joint[i][h]``: ``table[(a, c)] +
+        table[(c, a)]`` summed over the tables joining ``i`` to ``h``,
+        keyed ``(a, c)``.
+        """
+        links = self.links
+        cand = [set(u).union(a for _, t in ts for a, _ in t) for u, ts in zip(self.unary, links)]
+        wanted_by = {a: [i for i, c in enumerate(cand) if a in c] for a in set().union(*cand)}
+        neighbours: list[dict[int, dict]] = [{} for _ in links]
+        joint: list[dict[int, Counter]] = [{} for _ in links]
+        for k, ts in enumerate(links):
+            for j, table in ts:
+                by_target = neighbours[j].setdefault(k, {})
+                both = joint[k].setdefault(j, Counter())
+                for (a, b), n in table.items():
+                    by_target.setdefault(b, []).append((a, n))
+                    both[a, b] += n
+                    both[b, a] += n
+        return cand, wanted_by, neighbours, joint
 
 
 def matched_triples(
@@ -329,47 +360,72 @@ def _climb(weights: _Weights, assign: list[Optional[int]]) -> int:
     move leaves both moved variables without terms, so its gain is at
     most 0 and the strict ``>`` never takes it.  Tried targets go in
     position order, so each step takes the move a full scan would.
+
+    ``field[v][a]`` is the sum of the terms ``v`` would have at ``a``
+    with every other variable in place (the last slot, no name, stays 0).
+    ``i`` taking ``a`` from its holder ``h``, who takes ``c``, gains
+    ``field[i][a] - field[i][c] + field[h][c] - field[h][a]`` plus the
+    terms of a table joining them at ``(a, c)`` and ``(c, a)``: the count
+    after minus the count before, as integers, so no step changes.  A move
+    updates only the fields of the moved variables' table neighbours, and
+    the candidate rows of the moved variables and of the holders of names
+    they have a term for.
     """
-    unary, links = weights.unary, weights.links
-    # cand[i]: the reference variables with a term for variable i
-    cand = [set(u).union(a for _, t in ts for a, _ in t) for u, ts in zip(unary, links)]
-    wanted_by = {a: [i for i, c in enumerate(cand) if a in c] for a in set().union(*cand)}
+    cand, wanted_by, neighbours, joint = weights.climb_index
+    size = weights.gold_count
+    field = [[unary.get(a, 0) for a in range(size)] + [0] for unary in weights.unary]
+    owner: list[Optional[int]] = [None] * size
+
+    def shift(m: int, old: Optional[int], new: Optional[int]) -> None:
+        # m left old for new: move its terms in its neighbours' fields
+        for k, by_target in neighbours[m].items():
+            fk = field[k]
+            for a, n in by_target.get(old, ()):
+                fk[a] -= n
+            for a, n in by_target.get(new, ()):
+                fk[a] += n
+
+    def row(v: int) -> list[int]:
+        # v's candidates plus the names of the holders that want v's name
+        names = cand[v].union(assign[h] for h in wanted_by.get(assign[v], ()))
+        names.difference_update((assign[v], None))
+        return sorted(names)
+
+    for m, a in enumerate(assign):
+        shift(m, None, a)
+        if a is not None:
+            owner[a] = m
+    rows = [row(v) for v in range(len(assign))]
     matched = weights.count(assign)
     while True:
-        owner = {a: i for i, a in enumerate(assign) if a is not None}
-        # every current term of variable v, so a move's gain is after - before
-        base = [
-            unary[v].get(a, 0) + sum(t.get((a, assign[j]), 0) for j, t in links[v])
-            for v, a in enumerate(assign)
-        ]
         best_gain, best_move = 0, None
-        for i, current in enumerate(assign):
-            helped = [assign[h] for h in wanted_by.get(current, ()) if h != i]
-            for a in sorted(cand[i].union(b for b in helped if b is not None)):
-                if a == current:
-                    continue
-                # i takes a and its holder current; a joint table's old
-                # term is in both bases, so it is added back once
-                holder = owner.get(a)
-                gain = unary[i].get(a, 0) - base[i]
-                for j, t in links[i]:
-                    if j == holder:
-                        gain += t.get((a, current), 0) + t.get((current, a), 0)
-                    else:
-                        gain += t.get((a, assign[j]), 0)
+        for i, (current, names, fi, shared) in enumerate(zip(assign, rows, field, joint)):
+            c = -1 if current is None else current
+            before = fi[c]
+            for a in names:
+                holder = owner[a]
+                gain = fi[a] - before
                 if holder is not None:
-                    gain += unary[holder].get(current, 0) - base[holder]
-                    for j, t in links[holder]:
-                        if j != i:
-                            gain += t.get((current, assign[j]), 0)
+                    fh = field[holder]
+                    gain += fh[c] - fh[a]
+                    if holder in shared:
+                        gain += shared[holder].get((a, current), 0)
                 if gain > best_gain:
                     best_gain, best_move = gain, (i, a, holder)
         if best_move is None:
             return matched
         i, a, holder = best_move
+        current = assign[i]
+        assign[i], owner[a] = a, i
+        shift(i, current, a)
         if holder is not None:
-            assign[holder] = assign[i]
-        assign[i] = a
+            assign[holder] = current
+            shift(holder, a, current)
+        if current is not None:
+            owner[current] = holder
+        moved = (i,) if holder is None else (i, holder)
+        for v in {owner[b] for m in moved for b in cand[m]}.union(moved) - {None}:
+            rows[v] = row(v)
         matched += best_gain
 
 

@@ -303,6 +303,21 @@ class TestScore:
         capsys.readouterr()
         assert main(["score", pred, gold, "--min-f1", "0.5"]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "1.5", "inf"])
+    def test_min_f1_outside_0_to_1_is_refused(self, corpus_file, capsys, value):
+        # NaN compares false against any F1, so it would pass every corpus
+        gold = corpus_file("gold.amr", corpus_text([("p", WANT_GO_CANONICAL)]))
+        pred = corpus_file("pred.amr", corpus_text([("p", REDUCED_CANONICAL)]))
+        assert main(["score", pred, gold, "--min-f1", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("amrkit: --min-f1 must be between 0 and 1, got ")
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_min_f1_bounds_are_accepted(self, corpus_file, capsys, value):
+        gold = corpus_file("gold.amr", corpus_text([("p", WANT_GO_CANONICAL)]))
+        assert main(["score", gold, gold, "--min-f1", value]) == 0
+
     def test_json_report(self, corpus_file, capsys):
         gold = corpus_file("gold.amr", corpus_text([("p", WANT_GO_CANONICAL)]))
         pred = corpus_file("pred.amr", corpus_text([("p", REDUCED_CANONICAL)]))

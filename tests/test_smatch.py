@@ -460,6 +460,84 @@ class TestClimbOracle:
             assert match_hillclimb(pred, gold, config) == match_hillclimb_rekeyed(pred, gold, config)
 
 
+def climb_both(
+    pred: AmrGraph, gold: AmrGraph, start: list, include_top: bool
+) -> tuple[tuple[list, int], tuple[list, int]]:
+    """One climb from ``start`` (reference names, ``None`` for none) by
+    ``_climb`` and by the name-keyed oracle, each as (names, count)."""
+    gold_names = [v.name for v in gold.variables()]
+    assign = [None if name is None else gold_names.index(name) for name in start]
+    count = _climb(_Weights(pred, gold, include_top), assign)
+    state = smatch_climb._MatchState(
+        smatch_climb._PredSide(pred, include_top),
+        smatch_climb._gold_keys(gold, include_top),
+        list(start),
+    )
+    smatch_climb._climb(state, gold_names)
+    names = [None if a is None else gold_names[a] for a in assign]
+    return (names, count), (state.assign, state.matched)
+
+
+class TestClimbFields:
+    """The bookkeeping ``_climb`` carries from step to step: per-variable
+    fields, the owner of each name and the cached candidate rows.  Each
+    case is checked against the oracle climb from the same start."""
+
+    def test_swap_across_two_tables(self):
+        # i and h are joined by :ARG0 one way and :ARG1 the other: the
+        # swap wins both concepts and both relations, and both relations
+        # sit in the tables joining the pair, which the four field entries
+        # alone miss
+        pred = parse("( i / x :ARG0 ( h / y :ARG1 i ) )")
+        gold = parse("( p / y :ARG1 ( q / x :ARG0 p ) )")
+        ours, oracle = climb_both(pred, gold, ["p", "q"], include_top=False)
+        assert ours == oracle == (["q", "p"], 4)
+
+    def test_unnamed_variable_takes_a_held_name(self):
+        # five predicted variables, three reference ones: i starts without
+        # a name and takes q from h, which is left without one.  k's field
+        # must lose the :ARG0 term that needed h at q, or k would take p
+        # for nothing; and g, which also wants q, must find i holding it
+        pred = parse(
+            "( i / y :polarity - :ARG1 ( k / z :ARG0 ( h / z ) ) :ARG2 ( f / z ) :ARG3 ( g / y ) )"
+        )
+        gold = parse("( p / x :ARG0 ( q / y :polarity - ) :ARG1 ( r / w ) )")
+        ours, oracle = climb_both(pred, gold, [None, "r", "q", "p", None], include_top=False)
+        assert ours == oracle == (["q", "r", None, "p", None], 2)
+
+    def test_unmoved_variable_rebuilds_its_row(self):
+        # step 1: a takes p (the root marker) from d, which gets r.  b does
+        # not move, but d wants b's name q, so b's row must now offer r:
+        # step 2 is b taking r and handing q to d, which the scan reaches
+        # before c's move to q with the same gain
+        pred = parse("( a / z :ARG1 ( b / z :ARG1 ( c / y ) ) :ARG1 ( d / y ) )")
+        gold = parse("( p / x :ARG0 ( q / y :ARG0 ( r / x ) ) )")
+        ours, oracle = climb_both(pred, gold, ["r", "q", None, "p"], include_top=True)
+        assert ours == oracle == (["p", "r", None, "q"], 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pred_size=st.integers(1, 30),
+        gold_size=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fields_stay_true_to_the_table(self, pred_size, gold_size, seed):
+        # a field that drifted from the table shows up as a count that is
+        # not the final assignment's, or as a step the oracle does not take
+        rng = random.Random(seed)
+        pred = random_graph(rng, pred_size, min_vars=pred_size)
+        gold = random_graph(rng, gold_size, min_vars=gold_size)
+        gold_names = [v.name for v in gold.variables()]
+        positions = _random_assign(pred_size, gold_size, rng)
+        start = [None if a is None else gold_names[a] for a in positions]
+        for include_top in (True, False):
+            ours, oracle = climb_both(pred, gold, start, include_top)
+            assert ours == oracle
+            names, count = ours
+            final = [None if name is None else gold_names.index(name) for name in names]
+            assert count == _Weights(pred, gold, include_top).count(final)
+
+
 # Hand-built pairs whose triples repeat or coincide: (pred, gold, the
 # exact optimum with the root marker, the exact optimum without it).
 MULTIPLICITY_CASES = {
