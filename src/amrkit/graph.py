@@ -17,7 +17,9 @@ from typing import Iterable, Literal, Mapping, Optional, Union
 # appear inside a variable name, concept label or bare constant.
 _ILLEGAL_RE = re.compile(r'[\s():/"]')
 
-_FRAME_RE = re.compile(r"^(?:[a-z][a-z0-9']*-)+\d{2,3}$")
+# Lemma segments joined by hyphens, then a 2-3 digit sense.  A segment is a
+# letter ([^\W\d_] is any Unicode letter) then letters, digits or apostrophes.
+_FRAME_RE = re.compile(r"^(?:[^\W\d_](?:[^\W_]|')*-)+\d{2,3}$")
 
 
 def _check_token(text: str, what: str) -> None:
@@ -37,6 +39,9 @@ class Variable:
     def __post_init__(self) -> None:
         _check_token(self.name, "variable name")
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -52,8 +57,9 @@ class Concept:
 
     @property
     def is_frame(self) -> bool:
-        """True when the label has a trailing two-digit sense, e.g. ``go-01``."""
-        return _FRAME_RE.match(self.label) is not None
+        """True when the label is lowercase lemma segments with a trailing
+        two- or three-digit sense, e.g. ``go-01`` or ``lát-01``."""
+        return self.label.islower() and _FRAME_RE.match(self.label) is not None
 
     def __str__(self) -> str:
         return self.label
@@ -158,18 +164,19 @@ class Triple:
             raise ValueError(f"unknown triple kind: {self.kind!r}")
 
 
-def _reachable(root: Variable, edges: Iterable[Edge]) -> set[Variable]:
-    """The variables connected to ``root`` through ``edges``.
+def _reachable(root: str, edges: Iterable[Edge]) -> set[str]:
+    """Names of the variables connected to the one named ``root`` by ``edges``.
 
     Connectivity ignores edge direction: a variable attached only via an
     edge it sources (e.g. after deleting its incoming relation) is still
     part of the graph.
     """
-    neighbors: dict[Variable, list[Variable]] = {}
+    neighbors: dict[str, list[str]] = {}
     for edge in edges:
         if isinstance(edge.target, Variable):
-            neighbors.setdefault(edge.source, []).append(edge.target)
-            neighbors.setdefault(edge.target, []).append(edge.source)
+            source, target = edge.source.name, edge.target.name
+            neighbors.setdefault(source, []).append(target)
+            neighbors.setdefault(target, []).append(source)
     seen = {root}
     stack = [root]
     while stack:
@@ -198,22 +205,22 @@ class AmrGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "instances", dict(self.instances))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.root not in self.instances:
+        names = {v.name for v in self.instances}
+        if self.root.name not in names:
             raise ValueError(f"root {self.root} has no concept")
         for edge in self.edges:
             target = edge.target
-            if edge.source not in self.instances:
+            if edge.source.name not in names:
                 raise ValueError(f"edge source {edge.source} is not a defined variable")
             if isinstance(target, Variable):
-                if target not in self.instances:
+                if target.name not in names:
                     raise ValueError(f"edge target {target} is not a defined variable")
-            elif target.kind != "string" and Variable(target.value) in self.instances:
+            elif target.kind != "string" and target.value in names:
                 # written bare, it would read back as a reference
                 raise ValueError(f"{target.kind} constant {target} is spelled like a variable")
-        unreachable = set(self.instances) - _reachable(self.root, self.edges)
+        unreachable = names - _reachable(self.root.name, self.edges)
         if unreachable:
-            names = ", ".join(sorted(v.name for v in unreachable))
-            raise ValueError(f"variables not connected to root: {names}")
+            raise ValueError(f"variables not connected to root: {', '.join(sorted(unreachable))}")
 
     @classmethod
     def build(
@@ -260,11 +267,8 @@ class AmrGraph:
         """Variables mentioned as a target more than once, plus the root when
         it is a target at all.  These are the ones a serializer must emit as
         bare back-references after their first expansion."""
-        counts: dict[Variable, int] = {}
+        counts: dict[str, int] = {self.root.name: 1}  # one mention makes the root reentrant
         for edge in self.edges:
             if isinstance(edge.target, Variable):
-                counts[edge.target] = counts.get(edge.target, 0) + 1
-        out = {v for v, n in counts.items() if n > 1}
-        if counts.get(self.root):
-            out.add(self.root)
-        return out
+                counts[edge.target.name] = counts.get(edge.target.name, 0) + 1
+        return {v for v in self.instances if counts.get(v.name, 0) > 1}

@@ -2,9 +2,11 @@
 
 ``parse`` accepts the usual pretty-printed multi-line form and collects
 every problem it can find before raising, so callers see all diagnostics
-for a bad graph at once.  ``serialize_canonical`` writes the one canonical
-surface form: a single line, depth-first, each variable expanded at its
-first mention, a space before and after every parenthesis.
+for a bad graph at once.  Tokens are located in the text (offset, line and
+column) only when a problem is reported, so a clean parse computes no
+position.  ``serialize_canonical`` writes the one canonical surface form:
+a single line, depth-first, each variable expanded at its first mention,
+a space before and after every parenthesis.
 """
 
 from __future__ import annotations
@@ -58,27 +60,35 @@ class ParseError(ValueError):
 
 
 # One alternative per token kind; whitespace matches none of them, so
-# ``finditer`` skips it.  A string without its closing quote runs to the
+# ``findall`` skips it.  A string without its closing quote runs to the
 # end of the input.
-_TOKEN_RE = re.compile(
-    r'(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)|(?P<string>"[^"]*"?)'
-    r'|(?P<role>:[^\s()/"]*)|(?P<atom>[^\s():/"]+)'
-)
+_TOKEN_RE = re.compile(r'\(|\)|/|"[^"]*"?|:[^\s()/"]*|[^\s():/"]+')
+# a token is an atom unless its first character is one of these; the end
+# of input, "", is not an atom either, being in every string
+_NOT_ATOM = '()/":'
 
-# a token is (kind, text, offset); kinds are the group names above plus eof
-_Token = tuple[str, str, int]
+
+def _shown(token: str) -> str:
+    """A token as messages quote it: a string without its quotes."""
+    return token[1:-1] if token[:1] == '"' else token
 
 
 class _Parser:
     """Parser with best-effort recovery: it keeps going after a problem so
     one pass reports everything, and only builds a graph when no
     diagnostics were produced.  Nesting is kept on an explicit stack, so
-    depth is limited by memory, not by Python's recursion limit."""
+    depth is limited by memory, not by Python's recursion limit.
+
+    A token is its text, and its first character gives its kind: one of
+    ``( ) / " :``, anything else for an atom, and the empty string for
+    the end of input.  The parser refers to tokens by index, and locates
+    them in the text only when a problem is reported."""
 
     def __init__(self, text: str):
         self.text = text
         self.diags: list[ParseDiagnostic] = []
-        self.newlines: Optional[list[int]] = None  # offsets of "\n", found at the first report
+        self.offsets: Optional[list[int]] = None  # token offsets, found at the first report
+        self.newlines: list[int] = []  # offsets of "\n", found with the token offsets
         self.tokens = self.lex()
         self.pos = 0
         self.instances: dict[str, Concept] = {}
@@ -86,50 +96,51 @@ class _Parser:
         self.edges: list[tuple[str, str, Union[str, Constant]]] = []
         # targets recorded as bare strings are variable references or bare
         # constants; they are told apart once every definition is known
-        self.pending: list[tuple[int, _Token]] = []
+        self.pending: list[tuple[int, int]] = []  # (edge index, token index)
         self.synthetic = 0
 
-    def lex(self) -> list[_Token]:
-        """Split the text into tokens, ending with an end-of-input token."""
-        tokens = []
-        for match in _TOKEN_RE.finditer(self.text):
-            kind, text, offset = match.lastgroup, match.group(), match.start()
-            if kind == "string":
-                if len(text) > 1 and text[-1] == '"':
-                    text = text[1:-1]
-                else:
-                    self.report(
-                        DiagnosticCode.MALFORMED_TOKEN, "unterminated quoted string", offset
-                    )
-                    text = text[1:]
-            tokens.append((kind, text, offset))
-        tokens.append(("eof", "", len(self.text)))
+    def lex(self) -> list[str]:
+        """Split the text into tokens, ending with the end-of-input token.
+        A string token always ends in its closing quote."""
+        tokens = _TOKEN_RE.findall(self.text)
+        # only the last token can be a string that runs to the end
+        if tokens and tokens[-1][0] == '"' and not tokens[-1][1:].endswith('"'):
+            self.report(
+                DiagnosticCode.MALFORMED_TOKEN, "unterminated quoted string", len(tokens) - 1
+            )
+            tokens[-1] += '"'
+        tokens.append("")
         return tokens
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """1-based line and column of an offset."""
-        if self.newlines is None:
+    def position(self, index: int) -> tuple[int, int, int]:
+        """Offset and 1-based line and column of the token at ``index``."""
+        if self.offsets is None:
+            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+            self.offsets.append(len(self.text))
             self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        offset = self.offsets[index]
         before = bisect_left(self.newlines, offset)
-        return before + 1, offset - (self.newlines[before - 1] if before else -1)
+        return offset, before + 1, offset - (self.newlines[before - 1] if before else -1)
 
-    def report(self, code: DiagnosticCode, message: str, offset: int) -> None:
-        line, column = self.position(offset)
+    def report(self, code: DiagnosticCode, message: str, index: int) -> None:
+        offset, line, column = self.position(index)
         self.diags.append(ParseDiagnostic(code, message, line, column, offset))
 
     def parse(self) -> AmrGraph:
-        kind, text, offset = self.tokens[0]
-        if kind != "lparen":
-            found = "end of input" if kind == "eof" else repr(text)
-            self.report(DiagnosticCode.MALFORMED_TOKEN, f"expected '(' but found {found}", offset)
+        token = self.tokens[0]
+        if token != "(":
+            found = repr(_shown(token)) if token else "end of input"
+            self.report(DiagnosticCode.MALFORMED_TOKEN, f"expected '(' but found {found}", 0)
             raise ParseError(self.diags)
         root = self.parse_node()
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "rparen":
-            self.report(DiagnosticCode.UNBALANCED_PAREN, "unmatched ')'", offset)
-        elif kind != "eof":
+        token = self.tokens[self.pos]
+        if token == ")":
+            self.report(DiagnosticCode.UNBALANCED_PAREN, "unmatched ')'", self.pos)
+        elif token:
             self.report(
-                DiagnosticCode.MALFORMED_TOKEN, f"unexpected text after the graph: {text!r}", offset
+                DiagnosticCode.MALFORMED_TOKEN,
+                f"unexpected text after the graph: {_shown(token)!r}",
+                self.pos,
             )
         self.resolve_pending()
         if self.diags:
@@ -152,83 +163,79 @@ class _Parser:
         tokens, edges = self.tokens, self.edges
         stack = [self.open_node()]  # names of the open nodes, innermost last
         while True:
-            kind, text, offset = tokens[self.pos]
-            if kind == "role":
-                self.pos += 1
-                if text == ":":
-                    self.report(DiagnosticCode.EMPTY_ROLE, "role name is empty", offset)
+            pos = self.pos
+            token = tokens[pos]
+            if token[:1] == ":":
+                if token == ":":
+                    self.report(DiagnosticCode.EMPTY_ROLE, "role name is empty", pos)
+                self.pos = pos = pos + 1
                 source = stack[-1]
-                target = tokens[self.pos]
-                if target[0] == "lparen":
+                target = tokens[pos]
+                if target == "(":
                     stack.append(self.open_node())
-                    edges.append((source, text, stack[-1]))
-                elif target[0] == "string":
+                    edges.append((source, token, stack[-1]))
+                elif target[:1] == '"':
                     self.pos += 1
-                    edges.append((source, text, Constant(target[1], "string")))
-                elif target[0] == "atom":
+                    edges.append((source, token, Constant(target[1:-1], "string")))
+                elif target[:1] not in _NOT_ATOM:
                     self.pos += 1
-                    self.pending.append((len(edges), target))
-                    edges.append((source, text, target[1]))
+                    self.pending.append((len(edges), pos))
+                    edges.append((source, token, target))
                 else:
-                    self.report(
-                        DiagnosticCode.MALFORMED_TOKEN, f"role {text!r} has no value", target[2]
-                    )
-            elif kind == "rparen" or kind == "eof":
-                if kind == "rparen":
+                    self.report(DiagnosticCode.MALFORMED_TOKEN, f"role {token!r} has no value", pos)
+            elif token == ")" or not token:
+                if token:
                     self.pos += 1
                 else:
-                    self.report(DiagnosticCode.UNBALANCED_PAREN, "missing ')'", offset)
+                    self.report(DiagnosticCode.UNBALANCED_PAREN, "missing ')'", pos)
                 name = stack.pop()
                 if not stack:
                     return name
-            elif kind == "slash":
-                self.report(DiagnosticCode.MALFORMED_TOKEN, "unexpected '/'", offset)
+            elif token == "/":
+                self.report(DiagnosticCode.MALFORMED_TOKEN, "unexpected '/'", pos)
                 self.pos += 1
             else:
                 # a value with no role in front of it
                 self.report(
-                    DiagnosticCode.MALFORMED_TOKEN, f"expected a role, found {text!r}", offset
+                    DiagnosticCode.MALFORMED_TOKEN, f"expected a role, found {_shown(token)!r}", pos
                 )
-                if kind == "lparen":
+                if token == "(":
                     stack.append(self.open_node())
                 else:
                     self.pos += 1
 
     def open_node(self) -> str:
         """Consume '(', the variable and its concept; return the name."""
-        self.pos += 1
-        kind, name, offset = self.tokens[self.pos]
-        if kind == "atom":
+        self.pos = at = self.pos + 1
+        name = self.tokens[at]
+        if name[:1] not in _NOT_ATOM:
             self.pos += 1
         else:
-            self.report(
-                DiagnosticCode.MALFORMED_TOKEN, "expected a variable name after '('", offset
-            )
+            self.report(DiagnosticCode.MALFORMED_TOKEN, "expected a variable name after '('", at)
             self.synthetic += 1
             name = f"_missing{self.synthetic}"
         if name in self.instances:
-            line, column = self.position(self.defined_at[name])
+            _, line, column = self.position(self.defined_at[name])
             self.report(
                 DiagnosticCode.DUPLICATE_VARIABLE,
                 f"variable {name!r} already defined at {line}:{column}",
-                offset,
+                at,
             )
         else:
-            self.defined_at[name] = offset
+            self.defined_at[name] = at
         self.instances.setdefault(name, self.parse_concept(name))
         return name
 
     def parse_concept(self, name: str) -> Concept:
-        kind, _, offset = self.tokens[self.pos]
-        if kind != "slash":
+        if self.tokens[self.pos] != "/":
             self.report(
-                DiagnosticCode.MISSING_CONCEPT, f"variable {name!r} has no '/ concept'", offset
+                DiagnosticCode.MISSING_CONCEPT, f"variable {name!r} has no '/ concept'", self.pos
             )
             return Concept("_missing")
         self.pos += 1
-        kind, label, offset = self.tokens[self.pos]
-        if kind != "atom":
-            self.report(DiagnosticCode.MISSING_CONCEPT, "expected a concept after '/'", offset)
+        label = self.tokens[self.pos]
+        if label[:1] in _NOT_ATOM:
+            self.report(DiagnosticCode.MISSING_CONCEPT, "expected a concept after '/'", self.pos)
             return Concept("_missing")
         self.pos += 1
         return Concept(label)
@@ -238,17 +245,15 @@ class _Parser:
         a constant.  A token naming a variable defined anywhere in the text
         (before or after the mention) is a reference; otherwise numbers,
         non-alphabetic tokens, and sentence-mode words are constants."""
-        for index, (_, text, offset) in self.pending:
-            source, role, _ = self.edges[index]
+        for index, at in self.pending:
+            source, role, text = self.edges[index]
             if text in self.instances:
                 continue  # stays a reference
             kind = _bare_kind(text)
             if kind is not None:
                 self.edges[index] = (source, role, Constant(text, kind))
             else:
-                self.report(
-                    DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", offset
-                )
+                self.report(DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", at)
 
 
 def parse(text: str) -> AmrGraph:
@@ -269,11 +274,11 @@ def strip_wiki(graph: AmrGraph) -> AmrGraph:
     kept = [e for e in graph.edges if e.role != WIKI_ROLE]
     if len(kept) == len(graph.edges):
         return graph
-    reach = _reachable(graph.root, kept)
+    reach = _reachable(graph.root.name, kept)
     return AmrGraph(
         graph.root,
-        {v: c for v, c in graph.instances.items() if v in reach},
-        tuple(e for e in kept if e.source in reach),
+        {v: c for v, c in graph.instances.items() if v.name in reach},
+        tuple(e for e in kept if e.source.name in reach),
     )
 
 
@@ -288,16 +293,16 @@ def serialize_canonical(graph: AmrGraph) -> str:
     Raises ValueError for a graph with a variable that is never reached
     as an edge target: such a node has no expansion site in this notation.
     """
-    outgoing: dict[Variable, list[Edge]] = {v: [] for v in graph.instances}
+    outgoing: dict[str, list[Edge]] = {v.name: [] for v in graph.instances}
     for edge in graph.edges:
-        outgoing[edge.source].append(edge)
+        outgoing[edge.source.name].append(edge)
     parts: list[str] = []
-    expanded: set[Variable] = set()
+    expanded: set[str] = set()
 
     def expand(var: Variable) -> Iterator[Edge]:
-        expanded.add(var)
+        expanded.add(var.name)
         parts.extend(("(", var.name, "/", graph.instances[var].label))
-        return iter(outgoing[var])
+        return iter(outgoing[var.name])
 
     # one iterator over the remaining outgoing edges per open node
     stack = [expand(graph.root)]
@@ -307,7 +312,7 @@ def serialize_canonical(graph: AmrGraph) -> str:
             target = edge.target
             if isinstance(target, Constant):
                 parts.append(str(target))
-            elif target not in expanded:
+            elif target.name not in expanded:
                 stack.append(expand(target))
                 break
             else:
@@ -315,9 +320,9 @@ def serialize_canonical(graph: AmrGraph) -> str:
         else:
             parts.append(")")
             stack.pop()
-    missing = set(graph.instances) - expanded
+    missing = set(outgoing) - expanded
     if missing:
-        names = ", ".join(sorted(v.name for v in missing))
+        names = ", ".join(sorted(missing))
         raise ValueError(
             f"no expansion site for variables only connected against edge direction: {names}"
         )

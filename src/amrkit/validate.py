@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import IO, Iterable, Mapping, Optional, Union
 
-from .graph import AmrGraph, Concept, Target, Variable
+from .graph import AmrGraph, Concept, Variable
 
 
 class Rule(enum.Enum):
@@ -179,30 +179,30 @@ _ARG_OF_ROLE_RE = re.compile(r"^:ARG\d+-of$")
 AND_MIN_OPERANDS = 2
 
 
-def _role_index(graph: AmrGraph) -> tuple[dict[Variable, int], dict[Target, set[str]]]:
+def _role_index(graph: AmrGraph) -> tuple[dict[str, int], dict[str, set[str]]]:
     """One pass over the edges: how many ``:opN`` edges each variable
-    sources, and the core roles each variable uses as a frame."""
-    op_counts: dict[Variable, int] = {}
-    core_roles: dict[Target, set[str]] = {}
+    sources, and the core roles each variable uses as a frame, by name."""
+    op_counts: dict[str, int] = {}
+    core_roles: dict[str, set[str]] = {}
     for edge in graph.edges:
         role = edge.role
         if _OP_ROLE_RE.match(role):
-            op_counts[edge.source] = op_counts.get(edge.source, 0) + 1
+            op_counts[edge.source.name] = op_counts.get(edge.source.name, 0) + 1
         elif _ARG_ROLE_RE.match(role):
-            core_roles.setdefault(edge.source, set()).add(role)
-        elif _ARG_OF_ROLE_RE.match(role):
+            core_roles.setdefault(edge.source.name, set()).add(role)
+        elif _ARG_OF_ROLE_RE.match(role) and isinstance(edge.target, Variable):
             # an incoming :ARGn-of edge asserts the same fact as an outgoing
             # :ARGn edge, so both count as the frame using role :ARGn
-            core_roles.setdefault(edge.target, set()).add(role[: -len("-of")])
+            core_roles.setdefault(edge.target.name, set()).add(role[: -len("-of")])
     return op_counts, core_roles
 
 
-def _and_arity(graph: AmrGraph, op_counts: dict[Variable, int]) -> list[Violation]:
+def _and_arity(graph: AmrGraph, op_counts: dict[str, int]) -> list[Violation]:
     out = []
     for var, concept in graph.instances.items():
         if concept.label != "and":
             continue
-        count = op_counts.get(var, 0)
+        count = op_counts.get(var.name, 0)
         if count < AND_MIN_OPERANDS:
             out.append(
                 Violation(
@@ -218,7 +218,7 @@ def _frame_args(
     graph: AmrGraph,
     lexicon: FrameLexicon,
     unknown_frame_policy: str,
-    core_roles: dict[Target, set[str]],
+    core_roles: dict[str, set[str]],
 ) -> list[Violation]:
     if unknown_frame_policy not in ("ignore", "flag"):
         raise ValueError(
@@ -239,7 +239,7 @@ def _frame_args(
                     )
                 )
             continue
-        for role in sorted(core_roles.get(var, ())):
+        for role in sorted(core_roles.get(var.name, ())):
             if not entry.allows(role):
                 out.append(
                     Violation(

@@ -3,11 +3,29 @@
 from __future__ import annotations
 
 import random
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amrkit import AmrGraph, Concept, Constant, Edge, Triple, Variable
-from genutil import random_graph
+from amrkit import (
+    AmrGraph,
+    Concept,
+    Constant,
+    Edge,
+    Triple,
+    Variable,
+    serialize_canonical,
+    strip_wiki,
+)
+from genutil import WANT_GO_CANONICAL, random_graph
+
+# the frame-id pattern from before lemmas could hold non-ASCII letters
+ASCII_FRAME_RE = re.compile(r"^(?:[a-z][a-z0-9']*-)+\d{2,3}$")
+# the printable ASCII characters a concept label may hold
+LABEL_CHARS = "".join(c for c in string.printable if not c.isspace() and c not in '():/"')
 
 
 def want_go_graph() -> AmrGraph:
@@ -53,6 +71,23 @@ class TestAtoms:
         assert not Concept("multi-sentence").is_frame
         assert not Concept("have-concession").is_frame
         assert not Concept("want-1").is_frame
+
+    def test_unicode_frame_ids(self):
+        for frame in ["lát-01", "öl-01", "añadir-01", "ért-egyet-01", "ß'-91"]:
+            assert Concept(frame).is_frame, frame
+        for other in ["Lát-01", "See-01", "Öl-01", "see_x-01", "01-01", "lát-1", "lát", "-01"]:
+            assert not Concept(other).is_frame, other
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="aAz09'-_.", min_size=1, max_size=12),
+            st.text(alphabet=LABEL_CHARS, min_size=1, max_size=12),
+            st.from_regex(r"(?:[a-zA-Z_'0-9][a-z0-9'_A-Z]*-)+[0-9]{1,4}", fullmatch=True),
+        )
+    )
+    def test_ascii_labels_classify_as_before(self, label):
+        assert Concept(label).is_frame == (ASCII_FRAME_RE.match(label) is not None)
 
     def test_string_constant_keeps_interior_verbatim(self):
         value = "New (York) :city  double  spaces"
@@ -149,6 +184,54 @@ class TestGraphInvariants:
         assert [e.role for e in graph.outgoing(Variable("w"))] == [":ARG0", ":ARG1"]
         assert [e.role for e in graph.outgoing(Variable("g"))] == [":ARG0"]
         assert [e.role for e in graph.outgoing(Variable("n"))] == [":op1"]
+
+
+class TestNameKeyedCore:
+    """Graphs look variables up by name, so any equal Variable will do."""
+
+    def test_equal_variables_are_one_dict_key(self):
+        first, second = Variable("a"), Variable("a")
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        table = {first: 1}
+        table[second] = 2
+        assert table == {Variable("a"): 2}
+        assert Variable("a") != Variable("b")
+
+    def test_fresh_edge_variables_build_and_serialize(self):
+        graph = want_go_graph()
+
+        def fresh(end):
+            return Variable(end.name) if isinstance(end, Variable) else end
+
+        rebuilt = AmrGraph.build(
+            Variable("w"),
+            graph.instances,
+            [(fresh(e.source), e.role, fresh(e.target)) for e in graph.edges],
+        )
+        keys = {id(v) for v in rebuilt.instances}
+        assert not keys & {id(e.source) for e in rebuilt.edges}
+        assert rebuilt == graph
+        assert serialize_canonical(rebuilt) == WANT_GO_CANONICAL
+        assert strip_wiki(rebuilt) is rebuilt
+        assert rebuilt.reentrant_variables() == {Variable("b")}
+
+    def error_text(self, root, instances, edges) -> str:
+        with pytest.raises(ValueError) as info:
+            AmrGraph.build(root, instances, edges)
+        return str(info.value)
+
+    def test_construction_error_texts(self):
+        a, b = Variable("a"), Variable("b")
+        x = {a: Concept("x")}
+        assert self.error_text(a, x, [(b, ":mod", a)]) == "edge source b is not a defined variable"
+        assert self.error_text(a, x, [(a, ":mod", b)]) == "edge target b is not a defined variable"
+        five = {a: Concept("x"), Variable("5"): Concept("y")}
+        edges = [(a, ":ARG0", Variable("5")), (a, ":quant", Constant("5", "number"))]
+        assert self.error_text(a, five, edges) == "number constant 5 is spelled like a variable"
+        apart = {a: Concept("x"), Variable("d"): Concept("y"), b: Concept("y")}
+        apart[Variable("c")] = Concept("z")
+        assert self.error_text(a, apart, []) == "variables not connected to root: b, c, d"
 
 
 class TestTriples:

@@ -23,7 +23,7 @@ from amrkit import (
     strip_wiki,
 )
 from amrkit.corpus import CorpusEntry
-from amrkit.penman import _Parser
+from amrkit.penman import _Parser, _shown
 from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
 from oracles import penman_lex
 
@@ -154,6 +154,42 @@ class TestDiagnostics:
             parse(text)
         for diag in info.value.diagnostics:
             assert 0 <= diag.offset <= len(text)
+
+
+class TestLazyOffsets:
+    """Tokens are located in the text only when a problem is reported."""
+
+    def test_clean_parse_leaves_offsets_unbuilt(self):
+        parser = _Parser(WANT_GO_PRETTY)
+        parser.parse()
+        assert parser.offsets is None
+
+    def test_duplicate_points_back_at_first_definition(self):
+        with pytest.raises(ParseError) as info:
+            parse("( a / x :ARG0 ( a / y ) )")
+        [diag] = info.value.diagnostics
+        assert (diag.code, diag.message, diag.line, diag.column, diag.offset) == (
+            DiagnosticCode.DUPLICATE_VARIABLE,
+            "variable 'a' already defined at 1:3",
+            1,
+            17,
+            16,
+        )
+        with pytest.raises(ParseError) as info:
+            parse("( a / x\n  :ARG0 ( a / y ) )")
+        assert str(info.value) == "2:11: DuplicateVariable: variable 'a' already defined at 1:3"
+
+    def test_unterminated_string_gets_its_closing_quote(self):
+        parser = _Parser('( c / city :name "New York )')
+        assert parser.tokens[-2:] == ['"New York )"', ""]
+        [diag] = parser.diags
+        assert (diag.message, diag.offset) == ("unterminated quoted string", 17)
+        with pytest.raises(ParseError) as info:
+            parse('"abc')
+        assert [d.message for d in info.value.diagnostics] == [
+            "unterminated quoted string",
+            "expected '(' but found 'abc'",
+        ]
 
 
 class TestStripWiki:
@@ -375,8 +411,17 @@ def outcome(parse_fn, text: str):
     return "graph", graph
 
 
+_KINDS = {"(": "lparen", ")": "rparen", "/": "slash", '"': "string", ":": "role", "": "eof"}
+
+
 def tokens_of(text: str) -> list[tuple[str, str, int]]:
-    return _Parser(text).tokens
+    """The parser's tokens in the oracle's shape: (kind, text, offset),
+    the kind read off the first character and a string without quotes."""
+    parser = _Parser(text)
+    return [
+        (_KINDS.get(token[:1], "atom"), _shown(token), parser.position(index)[0])
+        for index, token in enumerate(parser.tokens)
+    ]
 
 
 def oracle_tokens_of(text: str) -> list[tuple[str, str, int]]:

@@ -81,6 +81,12 @@ class TestLexiconFile:
         with pytest.raises(LexiconError, match=r"sense suffix"):
             load_frame_lexicon(io.StringIO("boy\tARG0\n"))
 
+    def test_accented_frame_ids(self):
+        lexicon = load_frame_lexicon(io.StringIO("lát-01\tARG0,ARG1\nöl-01\tARG0\n"))
+        assert lexicon.get("lát-01").allowed_args == frozenset({":ARG0", ":ARG1"})
+        with pytest.raises(LexiconError, match=r"sense suffix"):
+            load_frame_lexicon(io.StringIO("Lát-01\tARG0\n"))
+
     def test_error_names_path(self, tmp_path):
         path = tmp_path / "frames.tsv"
         path.write_text("oops\n", encoding="utf-8")
@@ -188,6 +194,13 @@ class TestFrameArgs:
         [v] = check_frame_args(graph, lexicon, "flag")
         assert v.rule is Rule.UNKNOWN_FRAME
         assert v.detail == "frame 'zorch-01' is not in the lexicon"
+
+    def test_accented_frame_is_checked(self):
+        graph = parse("( l / lát-01 :ARG7 ( b / boy ) )")
+        [v] = check_frame_args(graph, lex(("lát-01", ["ARG0", "ARG1"])))
+        assert v.detail == "frame 'lát-01' does not allow :ARG7"
+        [v] = check_frame_args(graph, default_frame_lexicon(), "flag")
+        assert v.detail == "frame 'lát-01' is not in the lexicon"
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown_frame_policy"):
