@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="predictions corpus file or -")
     p.add_argument("gold", help="references corpus file")
     p.add_argument("-o", "--output", default="-", help="where to write the report")
-    p.add_argument("--restarts", type=int, default=4, help="hill-climbing restarts")
+    p.add_argument("--restarts", type=int, default=4, help="most hill-climbing restarts")
     p.add_argument(
         "--exact-threshold",
         type=int,

@@ -57,9 +57,13 @@ class Concept:
 
     @property
     def is_frame(self) -> bool:
-        """True when the label is lowercase lemma segments with a trailing
-        two- or three-digit sense, e.g. ``go-01`` or ``lát-01``."""
-        return self.label.islower() and _FRAME_RE.match(self.label) is not None
+        """True when the label, in NFC, is lowercase lemma segments with a
+        trailing two- or three-digit sense, e.g. ``go-01`` or ``lát-01``."""
+        label = self.label
+        if not label.isascii():
+            from unicodedata import normalize  # loaded only once a label needs it
+            label = normalize("NFC", label)
+        return label.islower() and _FRAME_RE.match(label) is not None
 
     def __str__(self) -> str:
         return self.label

@@ -274,12 +274,13 @@ def strip_wiki(graph: AmrGraph) -> AmrGraph:
     kept = [e for e in graph.edges if e.role != WIKI_ROLE]
     if len(kept) == len(graph.edges):
         return graph
-    reach = _reachable(graph.root.name, kept)
-    return AmrGraph(
-        graph.root,
-        {v: c for v, c in graph.instances.items() if v.name in reach},
-        tuple(e for e in kept if e.source.name in reach),
-    )
+    instances = graph.instances
+    # a dropped edge to a constant disconnects nothing, so needs no walk
+    if any(isinstance(e.target, Variable) for e in graph.edges if e.role == WIKI_ROLE):
+        reach = _reachable(graph.root.name, kept)
+        instances = {v: c for v, c in instances.items() if v.name in reach}
+        kept = [e for e in kept if e.source.name in reach]
+    return AmrGraph(graph.root, instances, tuple(kept))
 
 
 def serialize_canonical(graph: AmrGraph) -> str:

@@ -11,18 +11,19 @@ or read.
 The best mapping is found through that table either by a branch-and-bound
 search over the mappings in enumeration order (small graphs; exact, and
 the first optimal mapping a full enumeration finds) or by steepest-ascent
-hill-climbing with restarts, whose steps try only reference variables
-that share a weighted fact with the moved variable or with the holder of
-its target: the skipped moves cannot raise the count, so every mapping
-is the one a full scan finds.  The climb keeps, per predicted variable, a
-field of what its terms would add up to at each reference variable; a
-move's gain is read off the fields of the two variables it moves, exactly
-the change of the count, and a move updates only its neighbours' fields.
+hill-climbing whose restarts stop at a count no mapping can beat.  A step
+tries only reference variables that share a weighted fact with the moved
+variable or the holder of its target: the skipped moves cannot raise the
+count, so every mapping is the one a full scan finds.  The climb keeps,
+per predicted variable, a field of what its terms would add up to at each
+reference variable; a move's gain, exactly the change of the count, is
+read off the fields of the two variables it moves, and a move updates
+only its neighbours' fields.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
-one seed per pair from the pair's position and collect per-pair scores
-through one ordered process-pool map, so results do not depend on how
-many worker processes are used.
+one seed per pair from its position and send the pairs, heaviest first,
+through one ordered process-pool map, so results depend neither on the
+number of worker processes nor on the order the pairs are scored in.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from ._parallel import parallel_map
@@ -101,8 +103,8 @@ class MatchConfig:
 
     Graphs whose variable counts both stay within ``exact_threshold`` are
     matched exactly by ``match_exact``; larger ones use hill-climbing with
-    ``restarts`` seeded attempts.  ``include_top`` adds the root-marker
-    triple so a wrong root costs one triple.
+    up to ``restarts`` seeded attempts.  ``include_top`` adds the
+    root-marker triple so a wrong root costs one triple.
     """
 
     restarts: int = 4
@@ -187,6 +189,14 @@ class _Weights:
         for i, j, table in self.pairs:
             self.links[i].append((j, table))
             self.links[j].append((i, {(b, a): n for (a, b), n in table.items()}))
+
+    def tops(self) -> list[int]:
+        """Per variable ``k``: its largest unary term plus the largest entry of
+        each table whose later variable is ``k``; no count exceeds their sum."""
+        tops = [max(unary.values(), default=0) for unary in self.unary]
+        for i, j, table in self.pairs:
+            tops[max(i, j)] += max(table.values())
+        return tops
 
     def count(self, assign: Sequence[Optional[int]]) -> int:
         """Matched triples when predicted variable ``i`` maps to
@@ -281,10 +291,7 @@ def match_exact(
     # (target of k, target of the earlier one); rest[k] bounds what the
     # variables from k on can still add
     charged = [[(j, t) for j, t in links if j < k] for k, links in enumerate(weights.links)]
-    rest = [0] * (smaller + 1)
-    for k in reversed(range(smaller)):
-        tops = [max(table.values()) for _, table in charged[k]]
-        rest[k] = rest[k + 1] + max(weights.unary[k].values(), default=0) + sum(tops)
+    rest = list(accumulate(reversed(weights.tops()), initial=0))[::-1]
     # depth-first over the smaller side's variables in position order;
     # variable k tries the free targets after chosen[k] in position order,
     # so leaves come in enumeration order.  A target is skipped when its
@@ -437,11 +444,13 @@ def match_hillclimb(
     """Find a good variable mapping by seeded hill-climbing.
 
     The first restart starts from a concept-matching greedy assignment,
-    the rest from random assignments drawn from ``config.seed``.  Returns
-    the best mapping found and its matched count; the count is a lower
-    bound on the exact optimum and is deterministic for a given config.
+    the rest from random assignments drawn from ``config.seed``, until one
+    reaches a count no mapping beats, the least of ``sum(_Weights.tops())``
+    and the two triple totals.  Returns the best mapping and its matched
+    count: a lower bound on the exact optimum, deterministic for a config.
     """
     weights = _Weights(pred, gold, config.include_top)
+    ceiling = min(sum(weights.tops()), _total(pred, config), _total(gold, config))
     rng = random.Random(config.seed)
     best_count = -1
     best_assign: list[Optional[int]] = []
@@ -452,8 +461,9 @@ def match_hillclimb(
             assign = _random_assign(len(pred.instances), len(gold.instances), rng)
         matched = _climb(weights, assign)
         if matched > best_count:
-            best_count = matched
-            best_assign = assign
+            best_count, best_assign = matched, assign
+        if best_count == ceiling:
+            break
     return _mapping(pred, gold, best_assign), best_count
 
 
@@ -500,13 +510,16 @@ def score_corpus(
 
     A ``None`` prediction counts as an empty graph.  Every pair is scored
     with the seed ``config.seed ^ position``, so per-pair results, and
-    therefore the aggregate, are identical no matter how many worker
-    processes run (``jobs``) or in what order pairs complete.
+    therefore the aggregate, are identical for any ``jobs`` and any order
+    of completion; pairs go out heaviest first (``n_pred * n_gold``).
 
     The aggregate is the micro average (pooled counts) by default, or the
     arithmetic mean of per-pair ratios with ``macro``.
     """
-    scores = parallel_map(partial(_score_indexed, config), list(enumerate(pairs)), jobs)
+    size = [0 if p is None else len(p.instances) * len(g.instances) for p, g in pairs]
+    order = sorted(range(len(pairs)), key=size.__getitem__, reverse=True)
+    results = parallel_map(partial(_score_indexed, config), [(k, pairs[k]) for k in order], jobs)
+    scores = [score for _, score in sorted(zip(order, results))]
     aggregate = SmatchScore.from_counts(
         sum(s.matched for s in scores),
         sum(s.pred_total for s in scores),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import string
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,19 @@ class TestAtoms:
             assert Concept(frame).is_frame, frame
         for other in ["Lát-01", "See-01", "Öl-01", "see_x-01", "01-01", "lát-1", "lát", "-01"]:
             assert not Concept(other).is_frame, other
+
+    def test_decomposed_frame_ids(self):
+        # NFD spells an accented letter as a base letter and a combining
+        # mark; the verdict is the NFC spelling's
+        for frame in ["lát-01", "öl-01", "ért-egyet-01", "añadir-01"]:
+            decomposed = unicodedata.normalize("NFD", frame)
+            assert decomposed != frame
+            assert Concept(decomposed).is_frame, frame
+        for other in ["Lát-01", "Öl-01", "lát-1"]:
+            assert not Concept(unicodedata.normalize("NFD", other)).is_frame, other
+        # a mark that composes with no letter stays a mark, and a mark is
+        # neither a letter nor a digit
+        assert not Concept("x\u0301-01").is_frame
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -22,6 +22,7 @@ from amrkit import (
     serialize_canonical,
     strip_wiki,
 )
+from amrkit import penman
 from amrkit.corpus import CorpusEntry
 from amrkit.penman import _Parser, _shown
 from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
@@ -231,6 +232,20 @@ class TestStripWiki:
         a, b = Variable("a"), Variable("b")
         assert [e.role for e in stripped.outgoing(a)] == [":mod", ":ARG0"]
         assert [e.role for e in stripped.outgoing(b)] == [":poss"]
+
+    def test_only_a_dropped_edge_to_a_variable_needs_the_walk(self, monkeypatch):
+        # an edge to a constant disconnects nothing; the rebuilt graph
+        # still checks connectivity through its own walk
+        walks = []
+        real = penman._reachable
+        monkeypatch.setattr(penman, "_reachable", lambda *args: walks.append(args) or real(*args))
+        stripped = strip_wiki(parse('( a / x :wiki "W" :mod ( b / y :wiki - ) )'))
+        assert walks == []
+        assert [e.role for e in stripped.edges] == [":mod"]
+        assert set(stripped.instances) == {Variable("a"), Variable("b")}
+        stripped = strip_wiki(parse('( a / x :wiki "W" :mod ( b / y :wiki ( q / page ) ) )'))
+        assert len(walks) == 1
+        assert set(stripped.instances) == {Variable("a"), Variable("b")}
 
 
 class TestSerialize:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from amrkit import (
     score_pair,
     strip_wiki,
 )
+from amrkit import smatch
+from amrkit._parallel import parallel_map
 from amrkit.smatch import _climb, _random_assign, _Weights
 from genutil import CONCEPTS, ROLES, WANT_GO_PRETTY, random_graph, rename_variables
 from oracles import smatch_climb
@@ -460,6 +463,83 @@ class TestClimbOracle:
             assert match_hillclimb(pred, gold, config) == match_hillclimb_rekeyed(pred, gold, config)
 
 
+def ceiling(pred: AmrGraph, gold: AmrGraph, include_top: bool) -> int:
+    """The count no mapping can beat, from the static bound and the two
+    triple totals."""
+    static = sum(_Weights(pred, gold, include_top).tops())
+    return min(static, len(pred.triples(include_top)), len(gold.triples(include_top)))
+
+
+class TestRestartStop:
+    """``match_hillclimb`` starts no restart once its best count reaches
+    the ceiling; a later restart could only tie, so no result changes."""
+
+    @staticmethod
+    def counted_climbs(monkeypatch, climber=_climb) -> list:
+        climbs: list = []
+
+        def climb(weights, assign):
+            climbs.append(len(assign))
+            return climber(weights, assign)
+
+        monkeypatch.setattr(smatch, "_climb", climb)
+        return climbs
+
+    def test_renamed_copy_climbs_once(self, monkeypatch):
+        rng = random.Random(5)
+        gold = random_graph(rng, 30, min_vars=20)
+        pred = rename_variables(gold, rng)
+        climbs = self.counted_climbs(monkeypatch)
+        _, count = match_hillclimb(pred, gold, MatchConfig(restarts=4))
+        assert count == len(gold.triples(include_top=True))
+        assert len(climbs) == 1
+
+    def test_pair_below_its_ceiling_runs_every_restart(self, monkeypatch):
+        rng = random.Random(6)
+        pred, gold = random_graph(rng, 20, min_vars=12), random_graph(rng, 20, min_vars=12)
+        climbs = self.counted_climbs(monkeypatch)
+        _, count = match_hillclimb(pred, gold, MatchConfig(restarts=4))
+        assert count < ceiling(pred, gold, include_top=True)
+        assert len(climbs) == 4
+
+    def test_stops_at_the_ceiling_and_not_before(self, monkeypatch):
+        rng = random.Random(8)
+        pred, gold = random_graph(rng, 12, min_vars=9), random_graph(rng, 12, min_vars=9)
+        top = ceiling(pred, gold, include_top=True)
+        scripted = iter([top - 1, top - 1, top, top])
+        climbs = self.counted_climbs(monkeypatch, lambda weights, assign: next(scripted))
+        _, count = match_hillclimb(pred, gold, MatchConfig(restarts=4))
+        assert (count, len(climbs)) == (top, 3)
+
+    def test_static_bound_holds_against_the_optimum(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            pred, gold = random_graph(rng, 6), random_graph(rng, 6)
+            for include_top in (True, False):
+                _, optimum = match_exact(pred, gold, MatchConfig(include_top=include_top))
+                assert optimum <= sum(_Weights(pred, gold, include_top).tops())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_result_as_running_every_restart(self, seed):
+        # the oracle runs every restart; renamed copies stop at the first
+        rng = random.Random(300 + seed)
+        stopped = 0
+        for include_top in (True, False):
+            config = MatchConfig(seed=seed, include_top=include_top)
+            for kind in ("renamed", "near", "far", "far"):
+                gold = random_graph(rng, 18, min_vars=9)
+                if kind == "renamed":
+                    pred = rename_variables(gold, rng)
+                elif kind == "near":
+                    pred = near_copy(gold, rng)
+                else:
+                    pred = random_graph(rng, 18, min_vars=9)
+                result = match_hillclimb(pred, gold, config)
+                assert result == match_hillclimb_rekeyed(pred, gold, config), kind
+                stopped += result[1] == ceiling(pred, gold, include_top)
+        assert stopped >= 2
+
+
 def climb_both(
     pred: AmrGraph, gold: AmrGraph, start: list, include_top: bool
 ) -> tuple[tuple[list, int], tuple[list, int]]:
@@ -802,6 +882,29 @@ class TestScoreCorpus:
         serial = score_corpus(pairs, MatchConfig(seed=17), jobs=1)
         parallel = score_corpus(pairs, MatchConfig(seed=17), jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_heaviest_pairs_go_first_and_come_back_in_input_order(self, jobs, monkeypatch):
+        rng = random.Random(12)
+        pairs: list = [(None, random_graph(rng, 6, min_vars=6))]
+        for pred_size, gold_size in ((4, 4), (9, 9), (9, 9), (12, 12), (20, 18)):
+            gold = random_graph(rng, gold_size, min_vars=gold_size)
+            pred = random_graph(rng, pred_size, min_vars=pred_size)
+            pairs.append((pred, gold))
+        sent: list = []
+
+        def recording(fn, items, jobs):
+            sent.extend(k for k, _ in items)
+            return parallel_map(fn, items, jobs)
+
+        monkeypatch.setattr(smatch, "parallel_map", recording)
+        config = MatchConfig(seed=21)
+        _, scores = score_corpus(pairs, config, jobs=jobs)
+        # descending n_pred * n_gold; the tie keeps its input order
+        assert sent == [5, 4, 2, 3, 1, 0]
+        assert scores[0] == SmatchScore.from_counts(0, 0, len(pairs[0][1].triples(True)))
+        for k, (pred, gold) in enumerate(pairs[1:], start=1):
+            assert scores[k] == score_pair(pred, gold, replace(config, seed=config.seed ^ k))
 
     def test_monotone_damage(self):
         rng = random.Random(70)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,15 @@ class TestFrameArgs:
         assert v.detail == "frame 'lát-01' does not allow :ARG7"
         [v] = check_frame_args(graph, default_frame_lexicon(), "flag")
         assert v.detail == "frame 'lát-01' is not in the lexicon"
+
+    def test_decomposed_frame_is_checked_and_looked_up_as_written(self):
+        decomposed = unicodedata.normalize("NFD", "lát-01")
+        graph = parse(f"( l / {decomposed} :ARG7 ( b / boy ) )")
+        [v] = check_frame_args(graph, lex((decomposed, ["ARG0", "ARG1"])))
+        assert v.rule is Rule.ILLEGAL_ARG
+        # the lexicon's composed spelling is another label
+        [v] = check_frame_args(graph, lex(("lát-01", ["ARG0", "ARG1"])), "flag")
+        assert v.rule is Rule.UNKNOWN_FRAME
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown_frame_policy"):
