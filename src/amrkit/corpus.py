@@ -92,10 +92,13 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     """Split corpus text into entries without parsing any graphs.
 
     Raises CorpusFormatError for a record that has metadata but no graph
-    text, and for two records sharing an ``::id``.
+    text, and for two records sharing an ``::id``.  One leading byte-order
+    mark is dropped.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so
+    any other separator stays inside its metadata value or string.
     """
     entries: list[CorpusEntry] = []
-    numbered = enumerate(text.splitlines(), start=1)
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    numbered = enumerate(lines, start=1)
     for filled, block in groupby(numbered, lambda item: bool(item[1].strip())):
         if not filled:
             continue

@@ -17,8 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-# _MODE_SYMBOLS stays importable from here for the tests' lexer oracle
-from .graph import _MODE_SYMBOLS, AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
+from .graph import AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
 
 WIKI_ROLE = ":wiki"
 

@@ -161,7 +161,7 @@ def load_frame_lexicon(source: Union[str, IO[str]]) -> FrameLexicon:
     input; an empty file is a valid empty lexicon.
     """
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             return _parse_lexicon(handle, source)
     return _parse_lexicon(source, getattr(source, "name", "<stream>"))
 
@@ -179,25 +179,12 @@ _ARG_OF_ROLE_RE = re.compile(r"^:ARG\d+-of$")
 AND_MIN_OPERANDS = 2
 
 
-def _role_index(graph: AmrGraph) -> tuple[dict[str, int], dict[str, set[str]]]:
-    """One pass over the edges: how many ``:opN`` edges each variable
-    sources, and the core roles each variable uses as a frame, by name."""
+def check_and_operands(graph: AmrGraph) -> list[Violation]:
+    """Flag every ``and`` node with fewer than two ``:op`` edges."""
     op_counts: dict[str, int] = {}
-    core_roles: dict[str, set[str]] = {}
     for edge in graph.edges:
-        role = edge.role
-        if _OP_ROLE_RE.match(role):
+        if _OP_ROLE_RE.match(edge.role):
             op_counts[edge.source.name] = op_counts.get(edge.source.name, 0) + 1
-        elif _ARG_ROLE_RE.match(role):
-            core_roles.setdefault(edge.source.name, set()).add(role)
-        elif _ARG_OF_ROLE_RE.match(role) and isinstance(edge.target, Variable):
-            # an incoming :ARGn-of edge asserts the same fact as an outgoing
-            # :ARGn edge, so both count as the frame using role :ARGn
-            core_roles.setdefault(edge.target.name, set()).add(role[: -len("-of")])
-    return op_counts, core_roles
-
-
-def _and_arity(graph: AmrGraph, op_counts: dict[str, int]) -> list[Violation]:
     out = []
     for var, concept in graph.instances.items():
         if concept.label != "and":
@@ -214,16 +201,31 @@ def _and_arity(graph: AmrGraph, op_counts: dict[str, int]) -> list[Violation]:
     return out
 
 
-def _frame_args(
+def check_frame_args(
     graph: AmrGraph,
     lexicon: FrameLexicon,
-    unknown_frame_policy: str,
-    core_roles: dict[str, set[str]],
+    unknown_frame_policy: str = "ignore",
 ) -> list[Violation]:
+    """Check every predicate frame's core arguments against the lexicon.
+
+    A concept with a trailing sense number (``want-01``) is a frame.
+    Frames absent from the lexicon are skipped under policy ``ignore``
+    and reported as UnknownFrame under policy ``flag``; their arguments
+    are never judged either way.  Non-core roles are never checked.
+    """
     if unknown_frame_policy not in ("ignore", "flag"):
         raise ValueError(
             f"unknown_frame_policy must be 'ignore' or 'flag', got {unknown_frame_policy!r}"
         )
+    core_roles: dict[str, set[str]] = {}
+    for edge in graph.edges:
+        role = edge.role
+        if _ARG_ROLE_RE.match(role):
+            core_roles.setdefault(edge.source.name, set()).add(role)
+        elif _ARG_OF_ROLE_RE.match(role) and isinstance(edge.target, Variable):
+            # an incoming :ARGn-of edge asserts the same fact as an outgoing
+            # :ARGn edge, so both count as the frame using role :ARGn
+            core_roles.setdefault(edge.target.name, set()).add(role[: -len("-of")])
     out = []
     for var, concept in graph.instances.items():
         if not concept.is_frame:
@@ -251,26 +253,6 @@ def _frame_args(
     return out
 
 
-def check_and_operands(graph: AmrGraph) -> list[Violation]:
-    """Flag every ``and`` node with fewer than two ``:op`` edges."""
-    return _and_arity(graph, _role_index(graph)[0])
-
-
-def check_frame_args(
-    graph: AmrGraph,
-    lexicon: FrameLexicon,
-    unknown_frame_policy: str = "ignore",
-) -> list[Violation]:
-    """Check every predicate frame's core arguments against the lexicon.
-
-    A concept with a trailing sense number (``want-01``) is a frame.
-    Frames absent from the lexicon are skipped under policy ``ignore``
-    and reported as UnknownFrame under policy ``flag``; their arguments
-    are never judged either way.  Non-core roles are never checked.
-    """
-    return _frame_args(graph, lexicon, unknown_frame_policy, _role_index(graph)[1])
-
-
 def validate(
     graph: AmrGraph,
     lexicon: FrameLexicon,
@@ -284,8 +266,5 @@ def validate(
     here.  Violations are sorted by variable name, then rule, then
     detail, so identical inputs always produce identical reports.
     """
-    op_counts, core_roles = _role_index(graph)
-    found = _and_arity(graph, op_counts) + _frame_args(
-        graph, lexicon, unknown_frame_policy, core_roles
-    )
+    found = check_and_operands(graph) + check_frame_args(graph, lexicon, unknown_frame_policy)
     return ValidationReport(tuple(sorted(found, key=Violation.sort_key)), graph_id)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from amrkit.graph import _NUMBER_RE, AmrGraph, Concept, Constant, Variable
-from amrkit.penman import _MODE_SYMBOLS, DiagnosticCode, ParseDiagnostic, ParseError
+from amrkit.graph import _MODE_SYMBOLS, _NUMBER_RE, AmrGraph, Concept, Constant, Variable
+from amrkit.penman import DiagnosticCode, ParseDiagnostic, ParseError
 
 
 @dataclass(frozen=True)

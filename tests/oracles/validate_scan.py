@@ -1,5 +1,5 @@
-"""The O(V·E) content checks that ``amrkit.validate`` replaced with a
-one-pass role index.  Each frame variable rescans every edge.
+"""The O(V·E) content checks that ``amrkit.validate`` replaced with
+one pass over the edges per rule.  Each frame variable rescans every edge.
 
 Kept as an oracle: ``validate`` must return the same report as
 ``validate`` here for every graph.

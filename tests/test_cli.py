@@ -65,6 +65,28 @@ class TestCanonicalize:
         assert main(["canonicalize", "-"]) == 0
         assert WANT_GO_CANONICAL in capsys.readouterr().out
 
+    def test_byte_order_mark_file(self, corpus_file, capsys):
+        path = corpus_file("in.amr", "\ufeff# ::id a1\n( x / boy )\n")
+        assert main(["canonicalize", path]) == 0
+        assert capsys.readouterr().out == "# ::id a1\n( x / boy )\n"
+
+    def test_byte_order_mark_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff# ::id a1\n( x / boy )\n"))
+        assert main(["canonicalize", "-"]) == 0
+        assert capsys.readouterr().out == "# ::id a1\n( x / boy )\n"
+
+    def test_line_separator_in_metadata_keeps_line_numbers(self, corpus_file, capsys):
+        text = (
+            "# ::id r1 ::snt a\u2028b\n( b / boy )\n\n"
+            "# ::id r2\n# ::snt x\n( c / cat :ARG0 ) )\n"
+        )
+        path = corpus_file("in.amr", text)
+        assert main(["canonicalize", path]) == 2
+        assert capsys.readouterr().err == (
+            "r2: 6:17: MalformedToken: role ':ARG0' has no value\n"
+            "r2: 6:19: UnbalancedParen: unmatched ')'\n"
+        )
+
     def test_keep_wiki(self, corpus_file, capsys):
         path = corpus_file("in.amr", FIGURE_RECORD)
         assert main(["canonicalize", path, "--keep-wiki"]) == 0

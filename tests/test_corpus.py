@@ -99,6 +99,26 @@ class TestReading:
         assert (first.source_line, first.graph_line) == (1, 2)
         assert (second.source_line, second.graph_line) == (5, 5)
 
+    def test_leading_byte_order_mark_dropped(self):
+        [entry] = entries_from_text("\ufeff# ::id a1\n( x / boy )\n")
+        assert entry.metadata == {"id": "a1"}
+        assert entry.graph is not None
+        assert (entry.source_line, entry.graph_line) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_lines(self, separator):
+        [entry] = entries_from_text(f"# ::snt first{separator}second\n( b / boy )\n")
+        assert entry.snt == f"first{separator}second"
+        assert entry.graph_text == "( b / boy )"
+        assert entry.graph is not None
+
+    def test_string_keeps_a_line_separator(self):
+        graph = '( p / person :name ( n / name :op1 "Kis\u2028Péter" ) )'
+        entries = entries_from_text(f"# ::id k\n{graph}\n")
+        assert format_amr_document(entries) == f"# ::id k\n{graph}\n"
+
     def test_several_fields_on_a_line_after_graph_text(self):
         text = "( x / boy )\n# ::id a ::snt the boy ::tok the boy\n"
         [entry] = entries_from_text(text)

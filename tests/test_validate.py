@@ -101,6 +101,12 @@ class TestLexiconFile:
         assert "want-01" in lexicon
         assert lexicon.source_name == str(path)
 
+    def test_load_from_path_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "frames.tsv"
+        path.write_text("\ufeffwant-01\tARG0,ARG1\n", encoding="utf-8")
+        lexicon = load_frame_lexicon(str(path))
+        assert lexicon.get("want-01").allowed_args == {":ARG0", ":ARG1"}
+
     def test_default_lexicon(self):
         lexicon = default_frame_lexicon()
         assert "want-01" in lexicon
