@@ -79,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
+    jobs.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes (this one and JOBS-1 forked workers), at most one per entry and CPU",
+    )
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("tsv", "json"), default="tsv", help="report format")
 

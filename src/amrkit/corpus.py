@@ -6,8 +6,8 @@ a line); the remaining lines are the PENMAN graph.  Entries keep their
 raw text and parse lazily, so a file of broken graphs still loads and the
 failures stay addressable as data; only records with no graph text at
 all, or clashing ``::id`` values, are file-format errors.  Filtering
-validates entries through one ordered process-pool map, so its outcome
-is in corpus order for any worker count.
+validates entries through one ordered parallel map over forked worker
+processes, so its outcome is in corpus order for any worker count.
 """
 
 from __future__ import annotations
@@ -234,8 +234,9 @@ def filter_corpus(
 
     Entries whose text does not parse are discarded with a single
     Structural violation carrying the parser's message.  Validation runs
-    in ``jobs`` worker processes; results are returned in corpus order,
-    so the outcome is identical for any worker count.
+    in up to ``jobs`` processes (see ``parallel_map``); results are
+    returned in corpus order, so the outcome is identical for any worker
+    count.
     """
     reports = parallel_map(
         partial(_validate_one, lexicon, unknown_frame_policy),

@@ -21,9 +21,10 @@ read off the fields of the two variables it moves, and a move updates
 only its neighbours' fields.
 
 Scoring is deterministic: the search is seeded, and corpus runs derive
-one seed per pair from its position and send the pairs, heaviest first,
-through one ordered process-pool map, so results depend neither on the
-number of worker processes nor on the order the pairs are scored in.
+one seed per pair from its position and deal the pairs, heaviest first,
+through one ordered parallel map over forked worker processes, so results
+depend neither on the number of processes nor on the order the pairs are
+scored in.
 """
 
 from __future__ import annotations
@@ -511,7 +512,8 @@ def score_corpus(
     A ``None`` prediction counts as an empty graph.  Every pair is scored
     with the seed ``config.seed ^ position``, so per-pair results, and
     therefore the aggregate, are identical for any ``jobs`` and any order
-    of completion; pairs go out heaviest first (``n_pred * n_gold``).
+    of completion; pairs are dealt out to the processes heaviest first
+    (``n_pred * n_gold``).
 
     The aggregate is the micro average (pooled counts) by default, or the
     arithmetic mean of per-pair ratios with ``macro``.

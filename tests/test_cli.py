@@ -540,21 +540,45 @@ class TestModuleEntryPoint:
         assert result.stdout == "# ::id fig1\n" + WANT_GO_CANONICAL + "\n"
 
 
+# prints which of the modules a worker pool or its pickling loads are loaded
+PROCESS_MODULES = (
+    "[m for m in ('concurrent.futures', 'multiprocessing', 'pickle') if m in sys.modules]"
+)
+
+
 class TestProcessCost:
     def test_import_leaves_the_process_pool_unloaded(self):
         package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
         result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, amrkit.cli; print('concurrent.futures' in sys.modules)",
-            ],
+            [sys.executable, "-c", f"import sys, amrkit.cli; print({PROCESS_MODULES})"],
             capture_output=True,
             text=True,
             timeout=60,
             env=dict(os.environ, PYTHONPATH=package_root),
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
+
+    def test_parallel_score_loads_no_process_pool(self, corpus_file):
+        records = [("a", VALID_TEMPLATES[0]), ("b", VALID_TEMPLATES[1])]
+        gold = corpus_file("gold.amr", corpus_text(records))
+        # two CPUs whatever the machine has, so the map forks; pickle then
+        # carries the worker's results back
+        script = (
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from amrkit.cli import main\n"
+            f"code = main(['score', {gold!r}, {gold!r}, '--jobs', '2', '-o', os.devnull])\n"
+            f"print(code, {PROCESS_MODULES})\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert (result.stdout, result.stderr) == ("0 ['pickle']\n", "")
 
     def test_repeated_calls_leave_no_parser_garbage(self, corpus_file, capsys):
         path = corpus_file("in.amr", FIGURE_RECORD)

@@ -1,16 +1,20 @@
-"""The process-pool path shared by ``filter_corpus`` and ``score_corpus``:
+"""The parallel map shared by ``filter_corpus`` and ``score_corpus``:
 identical results for one worker and for more workers than items, on
-corpora of zero to four entries."""
+corpora of zero to four entries; how many processes it forks; and how its
+failures reach the caller with no child left running."""
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amrkit
 from amrkit import (
     MatchConfig,
     default_frame_lexicon,
@@ -69,36 +73,117 @@ def test_score_corpus_any_jobs(size):
         assert pooled[1][1].gold_total == len(pairs[1][1].triples(True))
 
 
+def _record_forks(monkeypatch, cpus: int) -> list:
+    # the map sees ``cpus`` CPUs; each real fork's child pid is recorded
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (64, 40, 2) is the CPU ceiling: 64 jobs over 40 items on 2 CPUs fork once
 @pytest.mark.parametrize(
-    "jobs, count, workers, chunk",
-    [(64, 3, 3, 1), (4, 4, 4, 1), (2, 40, 2, 2), (3, 100, 3, 4), (8, 2, 2, 1)],
+    "jobs, count, cpus",
+    [(64, 3, 4), (4, 4, 4), (2, 40, 2), (3, 100, 4), (8, 2, 4), (64, 40, 2)],
 )
-def test_pool_never_outnumbers_items(monkeypatch, jobs, count, workers, chunk):
-    # a stand-in pool that records its size and runs in this process, so
-    # no worker starts however many are asked for
-    made = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, items, chunksize):
-            made.append(chunksize)
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert parallel_map(abs, range(-count, 0), jobs) == list(range(count, 0, -1))
-    assert made == [workers, chunk]
-    made.clear()
+def test_pool_never_outnumbers_items(monkeypatch, jobs, count, cpus):
+    forks = _record_forks(monkeypatch, cpus)
+    # a lambda: the function reaches the workers through the fork, unpickled
+    assert parallel_map(lambda x: -x, range(-count, 0), jobs) == list(range(count, 0, -1))
+    assert len(forks) == min(jobs, count, cpus) - 1
+    forks.clear()
     assert parallel_map(abs, [-1], jobs) == [1]
     assert parallel_map(abs, range(-count, 0), 1) == list(range(count, 0, -1))
-    assert made == []
+    assert forks == []
+    _no_child_left()
+
+
+def test_no_fork_runs_in_this_process(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert parallel_map(abs, range(-5, 0), 4) == [5, 4, 3, 2, 1]
+
+
+class ShareError(Exception):
+    pass
+
+
+def _fail_at(bad: dict):
+    def fn(item):
+        if item in bad:
+            raise ShareError(bad[item])
+        return item
+
+    return fn
+
+
+def test_child_exception_reaches_caller(monkeypatch):
+    forks = _record_forks(monkeypatch, 2)
+    # item 3 is in the forked child's share, item 4 in this process's
+    with pytest.raises(ShareError, match="^item 3$"):
+        parallel_map(_fail_at({3: "item 3", 4: "item 4"}), range(6), 2)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_caller_exception_reaps_every_child(monkeypatch):
+    forks = _record_forks(monkeypatch, 3)
+    with pytest.raises(ShareError, match="^item 0$"):
+        parallel_map(_fail_at({0: "item 0"}), range(9), 3)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_child_dying_without_a_result(monkeypatch):
+    parent = os.getpid()
+
+    def fn(item):
+        if item == 1 and os.getpid() != parent:
+            os._exit(3)
+        return item
+
+    forks = _record_forks(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+        parallel_map(fn, range(4), 2)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_unflushed_stdout_written_once():
+    script = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from amrkit._parallel import parallel_map\n"
+        "sys.stdout.write('before ')\n"
+        "print(parallel_map(abs, range(-4, 0), 2))\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('reaped')\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "before [4, 3, 2, 1]\nreaped\n"
 
 
 # one pair: a graph seed, whether the reference is above the exact
@@ -123,7 +208,7 @@ def _spec_pair(seed: int, large: bool, prediction: str) -> tuple:
 @example(specs=[(1, True, "other"), (2, False, "missing")], seed=3)
 @given(specs=st.lists(PAIR_SPECS, max_size=4), seed=st.integers(0, 2**16))
 def test_score_corpus_jobs_property(specs, seed):
-    # each example starts a process pool per aggregate, so examples are few
+    # each example forks a worker per aggregate, so examples are few
     pairs = [_spec_pair(*spec) for spec in specs]
     config = MatchConfig(restarts=2, seed=seed)
     for macro in (False, True):
