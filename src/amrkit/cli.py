@@ -26,6 +26,7 @@ from .corpus import (
     CorpusEntry,
     CorpusFormatError,
     FilterOutcome,
+    _canonical_lines,
     _entry_label,
     entries_from_text,
     filter_corpus,
@@ -35,6 +36,7 @@ from .corpus import (
     split_corpus,
     top_node_stats,
 )
+from .penman import ParseError
 from .smatch import MatchConfig, SmatchScore, score_corpus
 from .validate import LexiconError, Rule, default_frame_lexicon, load_frame_lexicon
 
@@ -177,29 +179,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:
     entries = _read_entries(args.input)
-    failed = False
-    for position, entry in enumerate(entries):
-        error = entry.parse_error
-        if error is None:
+    lines = list(_canonical_lines(entries, remove_wiki=not args.keep_wiki))
+    for position, (entry, line) in enumerate(zip(entries, lines)):
+        if not isinstance(line, ParseError):
             continue
-        failed = True
         label = _entry_label(entry, position)
         base = (entry.graph_line or entry.source_line or 1) - 1
-        for diag in error.diagnostics:
+        for diag in line.diagnostics:
             print(
                 f"{label}: {base + diag.line}:{diag.column}: "
                 f"{diag.code.value}: {diag.message}",
                 file=sys.stderr,
             )
-    if failed:
+    if any(isinstance(line, ParseError) for line in lines):
         return 2
-    try:
-        text = format_amr_document(entries, canonical=True, remove_wiki=not args.keep_wiki)
-    except ValueError as err:
-        # a graph that parses can still lack a canonical form: without its
-        # :wiki edge, a node may be connected only by its own outgoing edges
-        raise CliError(str(err)) from err
-    _write_text(args.output, text)
+    # a graph that parses can still lack a canonical form: without its
+    # :wiki edge, a node may be connected only by its own outgoing edges
+    unwritable = next((line for line in lines if isinstance(line, ValueError)), None)
+    if unwritable is not None:
+        raise CliError(str(unwritable))
+    # written back as raw text, so that format_amr_document alone lays out blocks
+    rewritten = [CorpusEntry(entry.metadata, line) for entry, line in zip(entries, lines)]
+    _write_text(args.output, format_amr_document(rewritten, canonical=False))
     return 0
 
 

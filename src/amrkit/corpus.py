@@ -8,6 +8,8 @@ failures stay addressable as data; only records with no graph text at
 all, or clashing ``::id`` values, are file-format errors.  Filtering
 validates entries through one ordered parallel map over forked worker
 processes, so its outcome is in corpus order for any worker count.
+Filtering, canonical writing and statistics parse each entry once and
+cache no graph on it, so their memory follows the text, not the graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ._parallel import parallel_map
 from .graph import AmrGraph
@@ -61,14 +63,18 @@ class CorpusEntry:
         """Metadata keys other than ``id`` and ``snt``, in file order."""
         return [(k, v) for k, v in self.metadata.items() if k not in ("id", "snt")]
 
-    # a frozen dataclass still takes this: cached_property writes __dict__ directly
-    @cached_property
-    def _parsed(self) -> tuple[Optional[AmrGraph], Optional[ParseError]]:
+    def _parse_once(self) -> tuple[Optional[AmrGraph], Optional[ParseError]]:
+        # the cached parse if there is one, else a parse that is not cached
+        if "_parsed" in self.__dict__:
+            return self.__dict__["_parsed"]
         try:
             return parse(self.graph_text), None
         except ParseError as err:
             # drop the traceback: its frames would tie callers' locals into a cycle
             return None, err.with_traceback(None)
+
+    # a frozen dataclass still takes this: cached_property writes __dict__ directly
+    _parsed = cached_property(_parse_once)
 
     @property
     def graph(self) -> Optional[AmrGraph]:
@@ -94,12 +100,13 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     Raises CorpusFormatError for a record that has metadata but no graph
     text, and for two records sharing an ``::id``.  One leading byte-order
     mark is dropped.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so
-    any other separator stays inside its metadata value or string.
+    any other separator stays inside its metadata value or string.  Only
+    spaces and tabs make a line blank; a form feed line stays in its record.
     """
     entries: list[CorpusEntry] = []
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     numbered = enumerate(lines, start=1)
-    for filled, block in groupby(numbered, lambda item: bool(item[1].strip())):
+    for filled, block in groupby(numbered, lambda item: bool(item[1].strip(" \t"))):
         if not filled:
             continue
         meta: dict[str, str] = {}
@@ -107,7 +114,7 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
         source_line = graph_line = 0
         for lineno, line in block:
             # a block has no blank line, so [0] exists; it beats startswith
-            if line.lstrip()[0] != "#":
+            if line.lstrip(" \t")[0] != "#":
                 graph_lines.append(line)
                 graph_line = graph_line or lineno
             # a '#' line may carry several '::key value' fields; each value
@@ -138,6 +145,22 @@ def read_amr_file(path: str) -> list[CorpusEntry]:
         return entries_from_text(handle.read())
 
 
+def _canonical_lines(
+    entries: Sequence[CorpusEntry], remove_wiki: bool
+) -> Iterator[Union[str, ParseError, ValueError]]:
+    """Each entry's canonical line, its ParseError, or a ValueError naming an
+    entry the canonical form cannot write; each parsed once, no graph kept."""
+    for position, entry in enumerate(entries):
+        graph, line = entry._parse_once()
+        if graph is not None:
+            try:
+                line = serialize_canonical(strip_wiki(graph) if remove_wiki else graph)
+            except ValueError as err:
+                # not chained: the traceback of err would keep the graph alive
+                line = ValueError(f"{_entry_label(entry, position)}: {err}")
+        yield line
+
+
 def format_amr_document(
     entries: Sequence[CorpusEntry],
     canonical: bool = True,
@@ -151,23 +174,19 @@ def format_amr_document(
     a graph the canonical form cannot write raises one naming its entry.
     With ``canonical=False`` the raw graph text is written back unchanged.
     """
+    texts = _canonical_lines(entries, remove_wiki) if canonical else (e.graph_text for e in entries)
     blocks: list[str] = []
     bad: list[str] = []
-    for position, entry in enumerate(entries):
-        label = _entry_label(entry, position)
-        lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
-        if not canonical:
-            lines.append(entry.graph_text)
-        elif entry.graph is None:
-            bad.append(label)
+    for position, (entry, text) in enumerate(zip(entries, texts)):
+        if isinstance(text, ParseError):
+            bad.append(_entry_label(entry, position))
+        elif isinstance(text, ValueError):
+            raise text
         else:
-            graph = strip_wiki(entry.graph) if remove_wiki else entry.graph
-            try:
-                lines.append(serialize_canonical(graph))
-            except ValueError as err:
-                raise ValueError(f"{label}: {err}") from err
-        # each block ends in a newline, and a blank line separates blocks
-        blocks.append("\n".join(lines) + "\n")
+            lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
+            lines.append(text)
+            # each block ends in a newline, and a blank line separates blocks
+            blocks.append("\n".join(lines) + "\n")
     if bad:
         raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
     return "\n".join(blocks)
@@ -213,15 +232,11 @@ class FilterOutcome:
         )
 
 
-def _validate_one(
-    lexicon: FrameLexicon, policy: str, item: tuple[str, str]
-) -> ValidationReport:
-    graph_id, text = item
-    try:
-        graph = parse(text)
-    except ParseError as err:
-        return ValidationReport((Violation(Rule.STRUCTURAL, "", str(err)),), graph_id)
-    return validate(graph, lexicon, policy, graph_id)
+def _validate_one(lexicon: FrameLexicon, policy: str, entry: CorpusEntry) -> ValidationReport:
+    graph, error = entry._parse_once()
+    if graph is None:
+        return ValidationReport((Violation(Rule.STRUCTURAL, "", str(error)),), entry.id or "")
+    return validate(graph, lexicon, policy, entry.id or "")
 
 
 def filter_corpus(
@@ -234,16 +249,14 @@ def filter_corpus(
 
     Entries whose text does not parse are discarded with a single
     Structural violation carrying the parser's message.  Validation runs
-    in up to ``jobs`` processes (see ``parallel_map``); results are
-    returned in corpus order, so the outcome is identical for any worker
-    count.
+    in up to ``jobs`` processes (see ``parallel_map``), dealt out longest
+    graph text first; results are returned in corpus order, so the
+    outcome is identical for any worker count.
     """
-    reports = parallel_map(
-        partial(_validate_one, lexicon, unknown_frame_policy),
-        [(entry.id or "", entry.graph_text) for entry in entries],
-        jobs,
-    )
-    return FilterOutcome(tuple(zip(entries, reports)))
+    order = sorted(range(len(entries)), key=lambda k: len(entries[k].graph_text), reverse=True)
+    validate_one = partial(_validate_one, lexicon, unknown_frame_policy)
+    reports = parallel_map(validate_one, [entries[k] for k in order], jobs)
+    return FilterOutcome(tuple((entries[k], report) for k, report in sorted(zip(order, reports))))
 
 
 def split_corpus(
@@ -305,9 +318,8 @@ def top_node_stats(
     ``k`` the table keeps only the k most frequent labels; the totals
     still cover the whole corpus.
     """
-    counts = Counter(
-        entry.graph.top_concept().label for entry in entries if entry.graph is not None
-    )
+    graphs = (entry._parse_once()[0] for entry in entries)
+    counts = Counter(graph.top_concept().label for graph in graphs if graph is not None)
     rows = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
     if k is not None:
         rows = rows[:k]

@@ -145,6 +145,20 @@ class TestCanonicalize:
         assert main(["canonicalize", path, "--keep-wiki"]) == 0
         assert capsys.readouterr().out == f"# ::id a1\n{graph}\n"
 
+    def test_parse_errors_win_over_an_earlier_unwritable_entry(
+        self, corpus_file, tmp_path, capsys
+    ):
+        # the entry that cannot be written comes first, yet only the later
+        # entry's parse diagnostics are printed, and nothing is written
+        text = corpus_text([("a1", "( a / x :wiki ( w / y :ARG0 a ) )"), ("a2", "( b / boy")])
+        path = corpus_file("in.amr", text)
+        out_path = tmp_path / "out.amr"
+        assert main(["canonicalize", path, "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "a2: 5:10: UnbalancedParen: missing ')'\n"
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_entry_without_id_is_named_by_position(self, corpus_file, capsys):
         # parse diagnostics and the writer's errors name it the same way
         path = corpus_file("broken.amr", "( a / boy )\n\n( b / boy\n")

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from amrkit import (
+    AmrGraph,
     CorpusEntry,
     CorpusFormatError,
     ParseError,
@@ -22,6 +23,7 @@ from amrkit import (
     top_node_stats,
     write_amr_file,
 )
+from amrkit.cli import main
 from genutil import (
     AND_ARITY_BAD,
     ILLEGAL_ARG_BAD,
@@ -114,6 +116,26 @@ class TestReading:
         assert entry.graph_text == "( b / boy )"
         assert entry.graph is not None
 
+    @pytest.mark.parametrize("space", ["\x0c", "\x0b", "\u2028", "\xa0"])
+    def test_blank_looking_line_stays_in_its_record(self, space):
+        # only spaces and tabs make a line blank
+        text = f"# ::id a\n( x / boy\n{space}\n :mod ( y / small ) )\n\n# ::id b\n( z / girl )\n"
+        first, second = entries_from_text(text)
+        assert ids([first, second]) == ["a", "b"]
+        assert first.graph_text == f"( x / boy\n{space}\n :mod ( y / small ) )"
+        assert format_amr_document([first]) == "# ::id a\n( x / boy :mod ( y / small ) )\n"
+
+    def test_form_feed_line_opens_the_graph(self):
+        # nothing is left of it after lstrip(), yet it is no comment
+        [entry] = entries_from_text("# ::id a\n\x0c\n( x / boy )\n")
+        assert entry.graph_text == "\x0c\n( x / boy )"
+        assert entry.graph is not None
+        assert (entry.source_line, entry.graph_line) == (1, 2)
+
+    def test_spaces_and_tabs_make_a_blank_line(self):
+        first, second = entries_from_text("( x / boy )\n \t \n( y / girl )\n")
+        assert (first.graph_text, second.graph_text) == ("( x / boy )", "( y / girl )")
+
     def test_string_keeps_a_line_separator(self):
         graph = '( p / person :name ( n / name :op1 "Kis\u2028Péter" ) )'
         entries = entries_from_text(f"# ::id k\n{graph}\n")
@@ -179,6 +201,39 @@ class TestLazyParsing:
             gc.enable()
         assert error.__traceback__ is None
         assert error.diagnostics
+
+
+class TestNoGraphKept:
+    @staticmethod
+    def live_graphs() -> list[AmrGraph]:
+        gc.collect()
+        return [obj for obj in gc.get_objects() if isinstance(obj, AmrGraph)]
+
+    def test_corpus_passes_drop_every_graph(self, tmp_path, capsys):
+        text = corpus_text(
+            [("w", "( a / boy :wiki \"Q1\" )"), ("v", VALID_TEMPLATES[0]), ("x", "( x / boy )")]
+        )
+        # graphs that other tests keep alive are not this test's; holding
+        # them in `before` keeps their ids from being reused
+        before = self.live_graphs()
+        held = {id(graph) for graph in before}
+        entries = entries_from_text(text)
+        format_amr_document(entries)
+        top_node_stats(entries)
+        filter_corpus(entries, default_frame_lexicon())
+        path = tmp_path / "in.amr"
+        path.write_text(text, encoding="utf-8")
+        assert main(["canonicalize", str(path)]) == 0
+        assert capsys.readouterr().out == format_amr_document(entries)
+        assert [graph for graph in self.live_graphs() if id(graph) not in held] == []
+        assert len(entries) == 3
+
+    def test_cached_graph_is_reused(self, monkeypatch):
+        [entry] = entries_from_text(FIGURE_RECORD)
+        assert entry.graph is not None
+        monkeypatch.setattr("amrkit.corpus.parse", None)
+        assert top_node_stats([entry]).rows == (("want-01", 1),)
+        assert format_amr_document([entry]).endswith(WANT_GO_CANONICAL + "\n")
 
 
 class TestFormatErrors:
@@ -330,6 +385,25 @@ class TestFilter:
         assert ignore.discarded_n == 0
         assert flag.discarded_n == 1
         assert flag.results[0][1].violations[0].rule is Rule.UNKNOWN_FRAME
+
+    def test_longest_graph_text_dealt_first(self, monkeypatch):
+        dealt = []
+
+        def recording_map(fn, items, jobs):
+            dealt.extend(entry.id for entry in items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr("amrkit.corpus.parallel_map", recording_map)
+        records = [
+            ("short", "( x / boy )"),
+            ("long", "( x / boy :mod ( y / small :mod ( z / very ) ) )"),
+            ("tie", "( y / boy )"),
+            ("mid", "( x / boy :mod ( y / small ) )"),
+        ]
+        entries = entries_from_text(corpus_text(records))
+        outcome = filter_corpus(entries, default_frame_lexicon(), jobs=2)
+        assert dealt == ["long", "mid", "short", "tie"]
+        assert [report.graph_id for _, report in outcome.results] == [rid for rid, _ in records]
 
     def test_parallel_matches_serial(self):
         records = [
