@@ -101,13 +101,17 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     text, and for two records sharing an ``::id``.  One leading byte-order
     mark is dropped.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so
     any other separator stays inside its metadata value or string.  Only
-    spaces and tabs make a line blank; a form feed line stays in its record.
+    spaces and tabs make a line blank; a line of other whitespace, such as
+    a form feed, stays in its record, and a record of nothing but such
+    lines is skipped like a blank line.
     """
     entries: list[CorpusEntry] = []
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     numbered = enumerate(lines, start=1)
     for filled, block in groupby(numbered, lambda item: bool(item[1].strip(" \t"))):
-        if not filled:
+        block = list(block)
+        # lines of other whitespace alone, such as a form feed page break
+        if not filled or all(line.isspace() for _, line in block):
             continue
         meta: dict[str, str] = {}
         graph_lines: list[str] = []
@@ -170,18 +174,20 @@ def format_amr_document(
 
     With ``canonical`` each graph is rewritten in canonical single-line
     form (optionally after wiki removal); entries that do not parse make
-    this impossible, so they raise a ValueError naming every offender, and
-    a graph the canonical form cannot write raises one naming its entry.
+    this impossible, so they raise a ValueError naming every offender;
+    only when every entry parses does the first graph the canonical form
+    cannot write raise one naming its entry.
     With ``canonical=False`` the raw graph text is written back unchanged.
     """
     texts = _canonical_lines(entries, remove_wiki) if canonical else (e.graph_text for e in entries)
     blocks: list[str] = []
     bad: list[str] = []
+    unwritable: list[ValueError] = []
     for position, (entry, text) in enumerate(zip(entries, texts)):
         if isinstance(text, ParseError):
             bad.append(_entry_label(entry, position))
         elif isinstance(text, ValueError):
-            raise text
+            unwritable.append(text)
         else:
             lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
             lines.append(text)
@@ -189,6 +195,8 @@ def format_amr_document(
             blocks.append("\n".join(lines) + "\n")
     if bad:
         raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
+    if unwritable:
+        raise unwritable[0]
     return "\n".join(blocks)
 
 

@@ -200,6 +200,9 @@ class AmrGraph:
     source appear in their sibling order.  Construction validates that
     every mentioned variable is defined, that no bare constant is spelled
     like a variable, and that every variable is connected to the root.
+    Connectivity is settled by a forward pass over the edges (a reached
+    source reaches its target), enough for PENMAN surface order; the
+    undirected walk ``_reachable`` runs only when that pass misses a variable.
     """
 
     root: Variable
@@ -212,17 +215,20 @@ class AmrGraph:
         names = {v.name for v in self.instances}
         if self.root.name not in names:
             raise ValueError(f"root {self.root} has no concept")
+        reached = {self.root.name}  # reached from the root along edge direction
         for edge in self.edges:
-            target = edge.target
-            if edge.source.name not in names:
+            source, target = edge.source.name, edge.target
+            if source not in names:
                 raise ValueError(f"edge source {edge.source} is not a defined variable")
             if isinstance(target, Variable):
                 if target.name not in names:
                     raise ValueError(f"edge target {target} is not a defined variable")
+                if source in reached:
+                    reached.add(target.name)
             elif target.kind != "string" and target.value in names:
                 # written bare, it would read back as a reference
                 raise ValueError(f"{target.kind} constant {target} is spelled like a variable")
-        unreachable = names - _reachable(self.root.name, self.edges)
+        unreachable = len(reached) < len(names) and names - _reachable(self.root.name, self.edges)
         if unreachable:
             raise ValueError(f"variables not connected to root: {', '.join(sorted(unreachable))}")
 

@@ -58,10 +58,11 @@ class ParseError(ValueError):
         super().__init__(msg)
 
 
-# One alternative per token kind; whitespace matches none of them, so
-# ``findall`` skips it.  A string without its closing quote runs to the
-# end of the input.
-_TOKEN_RE = re.compile(r'\(|\)|/|"[^"]*"?|:[^\s()/"]*|[^\s():/"]+')
+# The whitespace before a token, then in the group one alternative per
+# token kind; ``\Z`` makes the end of input a token, "", so trailing
+# whitespace takes one match, not one failed try per character.  A string
+# without its closing quote runs to the end of the input.
+_TOKEN_RE = re.compile(r'\s*(\(|\)|/|"[^"]*"?|:[^\s()/"]*|[^\s():/"]+|\Z)')
 # a token is an atom unless its first character is one of these; the end
 # of input, "", is not an atom either, being in every string
 _NOT_ATOM = '()/":'
@@ -102,20 +103,21 @@ class _Parser:
         """Split the text into tokens, ending with the end-of-input token.
         A string token always ends in its closing quote."""
         tokens = _TOKEN_RE.findall(self.text)
-        # only the last token can be a string that runs to the end
-        if tokens and tokens[-1][0] == '"' and not tokens[-1][1:].endswith('"'):
+        # trailing whitespace leaves a second end token, an empty match
+        if tokens[-2:] == ["", ""]:
+            tokens.pop()
+        # only the last token before the end can be a string that runs to it
+        if len(tokens) > 1 and tokens[-2][0] == '"' and not tokens[-2][1:].endswith('"'):
             self.report(
-                DiagnosticCode.MALFORMED_TOKEN, "unterminated quoted string", len(tokens) - 1
+                DiagnosticCode.MALFORMED_TOKEN, "unterminated quoted string", len(tokens) - 2
             )
-            tokens[-1] += '"'
-        tokens.append("")
+            tokens[-2] += '"'
         return tokens
 
     def position(self, index: int) -> tuple[int, int, int]:
         """Offset and 1-based line and column of the token at ``index``."""
         if self.offsets is None:
-            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)]
-            self.offsets.append(len(self.text))
+            self.offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
             self.newlines = [m.start() for m in re.finditer("\n", self.text)]
         offset = self.offsets[index]
         before = bisect_left(self.newlines, offset)
@@ -145,12 +147,11 @@ class _Parser:
         if self.diags:
             raise ParseError(self.diags)
         variables = {name: Variable(name) for name in self.instances}
-        edges = []
-        for source, role, target in self.edges:
-            if not isinstance(target, Constant):
-                target = variables[target]
-            edges.append((variables[source], role, target))
-        return AmrGraph.build(
+        edges = [
+            Edge(variables[source], role, variables[target] if isinstance(target, str) else target)
+            for source, role, target in self.edges
+        ]
+        return AmrGraph(
             variables[root],
             {variables[name]: concept for name, concept in self.instances.items()},
             edges,

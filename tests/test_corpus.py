@@ -132,6 +132,25 @@ class TestReading:
         assert entry.graph is not None
         assert (entry.source_line, entry.graph_line) == (1, 2)
 
+    def test_form_feed_page_break_is_skipped(self, tmp_path, capsys):
+        text = "# ::id a\n( x / boy )\n\n\x0c\n\n# ::id b\n( y / girl )\n"
+        first, second = entries_from_text(text)
+        assert ids([first, second]) == ["a", "b"]
+        assert (second.source_line, second.graph_line) == (6, 7)
+        path = tmp_path / "paged.amr"
+        path.write_text(text, encoding="utf-8")
+        assert main(["canonicalize", str(path)]) == 0
+        assert capsys.readouterr().out == "# ::id a\n( x / boy )\n\n# ::id b\n( y / girl )\n"
+
+    @pytest.mark.parametrize("lines", ["\x0c", "\x0b\n\u2028", "\x0c\n\xa0\n\x0c", "\u3000"])
+    def test_record_of_other_whitespace_is_blank(self, lines):
+        [entry] = entries_from_text(f"{lines}\n\n( x / boy )\n\n{lines}\n")
+        assert entry.graph_text == "( x / boy )"
+        # behind a '#' line such whitespace is still the record's graph text
+        [entry] = entries_from_text(f"# ::id a\n{lines}\n")
+        assert entry.graph_text == lines
+        assert entry.parse_error is not None
+
     def test_spaces_and_tabs_make_a_blank_line(self):
         first, second = entries_from_text("( x / boy )\n \t \n( y / girl )\n")
         assert (first.graph_text, second.graph_text) == ("( x / boy )", "( y / girl )")
@@ -322,6 +341,20 @@ class TestWriting:
         assert format_amr_document(entries, remove_wiki=False).endswith(
             "( a / x :wiki ( w / y :ARG0 a ) )\n"
         )
+
+    def test_unparseable_entries_named_before_an_unwritable_one(self):
+        text = corpus_text(
+            [("a1", "( a / x :wiki ( w / y :ARG0 a ) )"), ("a2", "( b / boy"), ("a3", "( c /")]
+        )
+        with pytest.raises(ValueError) as info:
+            format_amr_document(entries_from_text(text))
+        assert str(info.value) == "cannot write unparseable entries: a2, a3"
+
+    def test_first_unwritable_entry_raised_when_all_parse(self):
+        unwritable = "( a / x :wiki ( w / y :ARG0 a ) )"
+        text = corpus_text([("a1", "( x / boy )"), ("a2", unwritable), ("a3", unwritable)])
+        with pytest.raises(ValueError, match=r"^a2: no expansion site .*: w$"):
+            format_amr_document(entries_from_text(text))
 
     def test_write_and_read_file(self, tmp_path):
         entries = entries_from_text(FIGURE_RECORD)

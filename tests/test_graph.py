@@ -18,10 +18,13 @@ from amrkit import (
     Edge,
     Triple,
     Variable,
+    parse,
     serialize_canonical,
     strip_wiki,
 )
-from genutil import WANT_GO_CANONICAL, random_graph
+from amrkit import graph as graph_module
+from amrkit.graph import _reachable
+from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
 
 # the frame-id pattern from before lemmas could hold non-ASCII letters
 ASCII_FRAME_RE = re.compile(r"^(?:[a-z][a-z0-9']*-)+\d{2,3}$")
@@ -198,6 +201,64 @@ class TestGraphInvariants:
         assert [e.role for e in graph.outgoing(Variable("w"))] == [":ARG0", ":ARG1"]
         assert [e.role for e in graph.outgoing(Variable("g"))] == [":ARG0"]
         assert [e.role for e in graph.outgoing(Variable("n"))] == [":op1"]
+
+
+class TestConnectivity:
+    """A forward pass over the edges settles connectivity when every edge
+    comes after one that reaches its source; the undirected walk decides
+    whatever that pass leaves unreached."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reversed_share=st.floats(0, 1),
+        extra=st.integers(0, 3),
+    )
+    def test_rejects_exactly_what_the_walk_leaves(self, seed, reversed_share, extra):
+        rng = random.Random(seed)
+        graph = random_graph(rng, max_vars=12)
+        instances = dict(graph.instances)
+        edges = list(graph.edges)
+        extras = [Variable(f"u{i}") for i in range(extra)]
+        for var in extras:
+            instances[var] = Concept("boy")
+            # some extras hang off another variable, some stay unattached
+            if rng.random() < 0.5:
+                edges.append(Edge(rng.choice(list(instances)), ":mod", var))
+        rng.shuffle(edges)
+        edges = [
+            Edge(e.target, e.role, e.source)
+            if isinstance(e.target, Variable) and rng.random() < reversed_share
+            else e
+            for e in edges
+        ]
+        unreachable = {v.name for v in instances} - _reachable(graph.root.name, edges)
+        if unreachable:
+            with pytest.raises(ValueError) as info:
+                AmrGraph(graph.root, instances, edges)
+            names = ", ".join(sorted(unreachable))
+            assert str(info.value) == f"variables not connected to root: {names}"
+        else:
+            assert AmrGraph(graph.root, instances, edges).edges == tuple(edges)
+
+    def test_parsed_penman_needs_no_walk(self, monkeypatch):
+        rng = random.Random(11)
+        texts = [WANT_GO_PRETTY, "( a / x :ARG0 ( b / y :ARG1 a ) :ARG1 c :ARG2 ( c / z ) )"]
+        texts += [serialize_canonical(random_graph(rng, max_vars=30)) for _ in range(200)]
+        calls = []
+
+        def counted(root, edges):
+            calls.append(root)
+            return _reachable(root, edges)
+
+        monkeypatch.setattr(graph_module, "_reachable", counted)
+        for text in texts:
+            parse(text)
+        assert calls == []
+        # the walk still runs for a graph the forward pass cannot settle
+        a, b = Variable("a"), Variable("b")
+        AmrGraph(a, {a: Concept("x"), b: Concept("y")}, (Edge(b, ":ARG0", a),))
+        assert calls == ["a"]
 
 
 class TestNameKeyedCore:

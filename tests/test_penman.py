@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from typing import Optional
 
 import pytest
@@ -481,6 +482,14 @@ HAND_CASES = [
     "( a ( b / c ) )",
     "(((",
     ")",
+    # whitespace the lexer consumes in front of the end of input
+    "( a / b )   ",
+    "( a / b :ARG0 zz )\n\n",
+    "( a / b :ARG0 ( c / d )\u2028",
+    "( a / b :ARG0 ( c / d ) \n \u2028 \n",
+    '( c / city :name "New York )  \n\t',
+    "\u2028",
+    " \x0c\n\u2028\n ",
 ]
 
 
@@ -512,6 +521,15 @@ class TestLexerOracle:
         assert "".join(text for _, text, _ in tokens) == "".join(
             char for char in chars if not char.isspace()
         )
+
+    @pytest.mark.parametrize("tail", ["", " :ARG0 ( c / d"])
+    def test_trailing_whitespace_is_linear(self, tail):
+        # a lexer that backtracks over trailing whitespace takes hours here
+        text = f"( a / b{tail} )" + " " * 1_000_000
+        start = time.perf_counter()
+        kind, _ = outcome(parse, text)
+        assert time.perf_counter() - start < 2
+        assert kind == ("error" if tail else "graph")
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet=PENMAN_ALPHABET, max_size=40))
