@@ -20,17 +20,17 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .corpus import (
     CorpusEntry,
     CorpusFormatError,
     FilterOutcome,
     _canonical_lines,
+    _document_blocks,
     _entry_label,
     entries_from_text,
     filter_corpus,
-    format_amr_document,
     read_amr_file,
     sample_corpus,
     split_corpus,
@@ -51,9 +51,12 @@ class CliError(Exception):
 
 def _read_entries(path: str) -> list[CorpusEntry]:
     try:
-        if path == "-":
-            return entries_from_text(sys.stdin.read())
-        return read_amr_file(path)
+        if path != "-":
+            return read_amr_file(path)
+        # strict UTF-8 like a file, whatever encoding sys.stdin decodes with
+        if hasattr(sys.stdin, "buffer"):
+            return entries_from_text(sys.stdin.buffer.read().decode("utf-8"))
+        return entries_from_text(sys.stdin.read())
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
@@ -62,13 +65,14 @@ def _read_entries(path: str) -> list[CorpusEntry]:
         raise CliError(f"{path}: {err}") from err
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], parts: Iterable[str]) -> None:
+    """Write ``parts`` in turn to ``path``, or to stdout for None or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as err:
         raise CliError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -198,9 +202,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
     unwritable = next((line for line in lines if isinstance(line, ValueError)), None)
     if unwritable is not None:
         raise CliError(str(unwritable))
-    # written back as raw text, so that format_amr_document alone lays out blocks
-    rewritten = [CorpusEntry(entry.metadata, line) for entry, line in zip(entries, lines)]
-    _write_text(args.output, format_amr_document(rewritten, canonical=False))
+    _write_text(args.output, _document_blocks(entries, lines))
     return 0
 
 
@@ -213,7 +215,7 @@ def _render(fmt: str, payload: dict, lines: list[str]) -> str:
 
 def _validation_report(outcome: FilterOutcome, fmt: str) -> str:
     counts = outcome.violation_counts()
-    kept = len(outcome.kept)
+    kept = outcome.kept_n
     total = len(outcome.results)
     violations = [
         {
@@ -256,9 +258,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise CliError("--jobs must be at least 1")
     entries = _read_entries(args.input)
     outcome = filter_corpus(entries, lexicon, args.unknown_frames, jobs=args.jobs)
-    _write_text(args.report, _validation_report(outcome, args.format))
+    _write_text(args.report, [_validation_report(outcome, args.format)])
     if args.kept_out:
-        _write_text(args.kept_out, format_amr_document(outcome.kept, canonical=False))
+        _write_text(args.kept_out, _document_blocks(outcome.kept))
     return 1 if outcome.discarded else 0
 
 
@@ -356,7 +358,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         for pred, gold in paired
     ]
     aggregate, per_pair = score_corpus(pairs, config, jobs=args.jobs, macro=args.macro)
-    _write_text(args.output, _score_report(labels, per_pair, aggregate, args.format))
+    _write_text(args.output, [_score_report(labels, per_pair, aggregate, args.format)])
     if args.min_f1 is not None and aggregate.f1 < args.min_f1:
         return 1
     return 0
@@ -373,7 +375,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     }
     lines = [f"{label}\t{count}" for label, count in table.rows]
     lines.append(f"# counted {table.counted} skipped {table.skipped}")
-    _write_text(None, _render(args.format, payload, lines))
+    _write_text(None, [_render(args.format, payload, lines)])
     return 0
 
 
@@ -383,11 +385,11 @@ def cmd_split(args: argparse.Namespace) -> int:
         train, test = split_corpus(entries, args.test_size, args.seed)
     except ValueError as err:
         raise CliError(str(err)) from err
-    _write_text(args.train_out, format_amr_document(train, canonical=False))
-    _write_text(args.test_out, format_amr_document(test, canonical=False))
+    _write_text(args.train_out, _document_blocks(train))
+    _write_text(args.test_out, _document_blocks(test))
     payload = {"train": len(train), "test": len(test)}
     lines = [f"train\t{len(train)}", f"test\t{len(test)}"]
-    _write_text(None, _render(args.format, payload, lines))
+    _write_text(None, [_render(args.format, payload, lines)])
     return 0
 
 
@@ -397,7 +399,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         chosen = sample_corpus(entries, args.size, args.seed)
     except ValueError as err:
         raise CliError(str(err)) from err
-    _write_text(args.output, format_amr_document(chosen, canonical=False))
+    _write_text(args.output, _document_blocks(chosen))
     return 0
 
 

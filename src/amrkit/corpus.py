@@ -10,6 +10,8 @@ validates entries through one ordered parallel map over forked worker
 processes, so its outcome is in corpus order for any worker count.
 Filtering, canonical writing and statistics parse each entry once and
 cache no graph on it, so their memory follows the text, not the graphs.
+Reading holds the text and the entries, with no string per line; a
+document is laid out block by block, so a writer need never hold it whole.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import groupby
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._parallel import parallel_map
 from .graph import AmrGraph
@@ -92,6 +94,13 @@ def _entry_label(entry: CorpusEntry, position: int) -> str:
 
 
 _META_KEY_RE = re.compile(r"::(\S+)")
+# a run of lines holding more than spaces and tabs; group 1 is its first
+# line if that is a '#' line.  Anchored at line starts, or a search would
+# retry a long blank line from each of its characters (quadratic)
+_RECORD_RE = re.compile(r"(?m)^(?:([ \t]*#.*)|[ \t]*[^ \t\n].*)(?:\n[ \t]*[^ \t\n].*)*")
+# a '#' line after a record's first, anchored at the line break in front:
+# the search skips to each break, where (?m)^ would try every character
+_COMMENT_RE = re.compile(r"\n([ \t]*#.*)")
 
 
 def entries_from_text(text: str) -> list[CorpusEntry]:
@@ -103,36 +112,45 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     any other separator stays inside its metadata value or string.  Only
     spaces and tabs make a line blank; a line of other whitespace, such as
     a form feed, stays in its record, and a record of nothing but such
-    lines is skipped like a blank line.
+    lines is skipped like a blank line.  Two patterns over the whole text
+    find records and ``#`` lines, so no string is made per line.
     """
     entries: list[CorpusEntry] = []
-    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    numbered = enumerate(lines, start=1)
-    for filled, block in groupby(numbered, lambda item: bool(item[1].strip(" \t"))):
-        block = list(block)
-        # lines of other whitespace alone, such as a form feed page break
-        if not filled or all(line.isspace() for _, line in block):
-            continue
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    line, counted = 1, 0  # the line number at offset counted
+    for record in _RECORD_RE.finditer(text):
+        start, end = record.span()
         meta: dict[str, str] = {}
-        graph_lines: list[str] = []
-        source_line = graph_line = 0
-        for lineno, line in block:
-            # a block has no blank line, so [0] exists; it beats startswith
-            if line.lstrip(" \t")[0] != "#":
-                graph_lines.append(line)
-                graph_line = graph_line or lineno
+        parts: list[str] = []  # the runs of graph lines around the '#' lines
+        cursor = start  # where the graph lines not yet taken begin
+        source = graph = end  # the first metadata or graph line, the first graph line
+        comments = _COMMENT_RE.finditer(text, start, end)
+        for comment in chain((record,), comments) if record.start(1) >= 0 else comments:
+            head, tail = comment.span(1)
+            if cursor < head:
+                graph = graph if parts else cursor
+                parts.append(text[cursor : head - 1])
             # a '#' line may carry several '::key value' fields; each value
             # runs to the next '::' or the end of the line
-            elif len(fields := _META_KEY_RE.split(line)) > 1:
+            if len(fields := _META_KEY_RE.split(comment[1])) > 1:
+                source = source if meta else head
                 meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
-            else:
-                continue  # a plain comment, which does not start the record
-            source_line = source_line or lineno
-        if graph_lines:
-            entries.append(CorpusEntry(meta, "\n".join(graph_lines), source_line, graph_line))
-        elif meta:
-            label = meta.get("id") or f"line {source_line}"
+            cursor = tail + 1
+        if cursor < end:
+            graph = graph if parts else cursor
+            parts.append(text[cursor:end])
+        # no '#' line and nothing but other whitespace, such as a form feed
+        # page break; or plain comments alone
+        if (cursor == start and parts[0].isspace()) or not (parts or meta):
+            continue
+        source = min(source, graph)
+        line += text.count("\n", counted, source)
+        counted = source
+        if not parts:
+            label = meta.get("id") or f"line {line}"
             raise CorpusFormatError(f"record {label} has no PENMAN block")
+        graph_line = line + text.count("\n", source, graph)
+        entries.append(CorpusEntry(meta, "\n".join(parts), line, graph_line))
     first_line: dict[Optional[str], int] = {}
     for entry in entries:
         first = first_line.setdefault(entry.id, entry.source_line)
@@ -165,6 +183,21 @@ def _canonical_lines(
         yield line
 
 
+def _document_blocks(
+    entries: Sequence[CorpusEntry], texts: Optional[Iterable[str]] = None
+) -> Iterator[str]:
+    """Corpus text block by block: one ``# ::key value`` line per metadata
+    key, then the entry's item of ``texts`` (default: its graph text)."""
+    if texts is None:
+        texts = (entry.graph_text for entry in entries)
+    separator = ""
+    for entry, text in zip(entries, texts):
+        lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
+        lines.append(text)
+        yield separator + "\n".join(lines) + "\n"
+        separator = "\n"
+
+
 def format_amr_document(
     entries: Sequence[CorpusEntry],
     canonical: bool = True,
@@ -179,25 +212,15 @@ def format_amr_document(
     cannot write raise one naming its entry.
     With ``canonical=False`` the raw graph text is written back unchanged.
     """
-    texts = _canonical_lines(entries, remove_wiki) if canonical else (e.graph_text for e in entries)
-    blocks: list[str] = []
-    bad: list[str] = []
-    unwritable: list[ValueError] = []
-    for position, (entry, text) in enumerate(zip(entries, texts)):
-        if isinstance(text, ParseError):
-            bad.append(_entry_label(entry, position))
-        elif isinstance(text, ValueError):
-            unwritable.append(text)
-        else:
-            lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
-            lines.append(text)
-            # each block ends in a newline, and a blank line separates blocks
-            blocks.append("\n".join(lines) + "\n")
-    if bad:
+    if not canonical:
+        return "".join(_document_blocks(entries))
+    texts = list(_canonical_lines(entries, remove_wiki))
+    labels = (_entry_label(entry, position) for position, entry in enumerate(entries))
+    if bad := [label for label, text in zip(labels, texts) if isinstance(text, ParseError)]:
         raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
-    if unwritable:
-        raise unwritable[0]
-    return "\n".join(blocks)
+    if unwritable := next((text for text in texts if isinstance(text, ValueError)), None):
+        raise unwritable
+    return "".join(_document_blocks(entries, texts))
 
 
 def write_amr_file(

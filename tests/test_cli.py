@@ -130,6 +130,21 @@ class TestCanonicalize:
             "in position 18: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("command", ["canonicalize", "validate", "stats"])
+    def test_non_utf8_stdin_exits_2(self, monkeypatch, capsys, command):
+        # surrogateescape, as the interpreter reads stdin in a POSIX locale:
+        # decoding sys.stdin would carry the byte through to the output
+        raw = io.BytesIO(b"# ::id a\n( x / boy\xff )\n")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main([command, "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "amrkit: cannot read -: 'utf-8' codec can't decode byte 0xff "
+            "in position 18: invalid start byte\n"
+        )
+
     def test_graph_without_canonical_form_exits_2(self, corpus_file, tmp_path, capsys):
         # dropping :wiki leaves w connected only by its own :ARG0 edge to
         # the root, which the canonical form cannot write
@@ -552,6 +567,30 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "# ::id fig1\n" + WANT_GO_CANONICAL + "\n"
+
+
+    def test_stdin_is_utf8_whatever_the_io_encoding(self, corpus_file):
+        # under latin-1, sys.stdin would read 'lát-01' as 'lÃ¡t-01', which
+        # is no frame name, so the unknown frame would pass unflagged
+        path = corpus_file("in.amr", "# ::id a\n( l / lát-01 )\n")
+        package_root = os.path.dirname(os.path.dirname(amrkit.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root, PYTHONIOENCODING="latin-1")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "amrkit", "validate", source, "--unknown-frames", "flag"],
+                input=data,
+                capture_output=True,
+                timeout=60,
+                env=env,
+            )
+            for source in (path, "-")
+        ]
+        from_path, from_stdin = ((r.returncode, r.stdout, r.stderr) for r in results)
+        assert from_stdin == from_path
+        assert from_path[0] == 1
+        assert b"a\tUnknownFrame\tl\t" in from_path[1]
 
 
 # prints which of the modules a worker pool or its pickling loads are loaded

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import os
+import random
+import re
+import signal
+import time
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrkit import (
     AmrGraph,
@@ -19,6 +28,7 @@ from amrkit import (
     format_amr_document,
     read_amr_file,
     sample_corpus,
+    serialize_canonical,
     split_corpus,
     top_node_stats,
     write_amr_file,
@@ -32,7 +42,9 @@ from genutil import (
     WANT_GO_CANONICAL,
     WANT_GO_PRETTY,
     corpus_text,
+    random_graph,
 )
+from oracles import corpus_read
 
 FIGURE_RECORD = (
     "# ::id fig1 ::snt The Hungarian boy wants to go\n"
@@ -285,6 +297,196 @@ class TestFormatErrors:
     def test_missing_ids_do_not_clash(self):
         entries = entries_from_text("( x / boy )\n\n( y / girl )\n")
         assert len(entries) == 2
+
+
+def pretty(graph_text: str) -> str:
+    """A single-line graph laid out one role to an indented line; quoted
+    strings stay whole."""
+    pieces = graph_text.split('"')
+    pieces[::2] = [piece.replace(" :", "\n    :") for piece in pieces[::2]]
+    return '"'.join(pieces)
+
+
+def read_outcome(reader, text: str):
+    """What a reader makes of ``text``: each entry's fields, or the
+    message of the CorpusFormatError it raises."""
+    try:
+        entries = reader(text)
+    except CorpusFormatError as err:
+        return str(err)
+    return [(e.metadata, e.graph_text, e.source_line, e.graph_line) for e in entries]
+
+
+_rng = random.Random(12)
+ORACLE_GRAPHS = [STRUCTURAL_BAD, "( a / x :wiki ( w / y :ARG0 a ) )"] + [
+    form(serialize_canonical(random_graph(_rng, max_vars=6)))
+    for form in (str, pretty)
+    for _ in range(6)
+]
+# lines that are not blank: only spaces and tabs make a line blank
+OTHER_WHITESPACE = ["\x0c", "\x0b", "\u2028", "\xa0", " \x0c\t", "\x85\u3000"]
+HASH_LINES = [
+    "# ::snt a boy ::tok a boy",
+    "#::x 1",
+    "# ::snt",
+    "#::a::b c",
+    "# :: not a key",
+    "# a plain comment",
+    "#",
+]
+IDS = st.one_of(st.sampled_from(["a", "", "a b"]), st.integers(0, 99).map("r{}".format))
+INDENTS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def record_lines(draw) -> list[str]:
+    """The lines of one record: graphs, '#' lines and lines of other
+    whitespace, in any order."""
+    lines: list[str] = []
+    kinds = ["graph", "id", "hash", "space"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "graph":
+            lines.extend(draw(st.sampled_from(ORACLE_GRAPHS)).split("\n"))
+        elif kind == "id":
+            lines.append(f"{draw(INDENTS)}# ::id {draw(IDS)}")
+        elif kind == "hash":
+            lines.append(draw(INDENTS) + draw(st.sampled_from(HASH_LINES)))
+        else:
+            lines.append(draw(st.sampled_from(OTHER_WHITESPACE)))
+    return lines
+
+
+@st.composite
+def corpus_texts(draw) -> str:
+    """Records between runs of blank lines, each line ended by any of the
+    three line breaks, behind an optional byte-order mark."""
+    lines: list[str] = []
+    for position, record in enumerate(draw(st.lists(record_lines(), max_size=5))):
+        if position or draw(st.booleans()):
+            lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t \t"]), min_size=1, max_size=2)))
+        lines.extend(record)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestReaderOracle:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\ufeff",
+            "\r",
+            "#",
+            "# ::id a\n\x0c\n",
+            "\x0c\n\n( x / y )",
+            "  # ::id a\n( x / y )\n\t# end",
+            "( x / y )\n  # ::id a ::snt b",
+            "# ::id a\r\n\r\n# ::id a\r\n( x / y )",
+            "# ::id a\r( x / y )\r\r# ::id a\r( z / w )\r",
+            " \t\n\t \n",
+            "( a / b\n\u2028\n)",
+            "#::id\n( x / y )\n\n#::id\n( z / w )",
+            "# banner\n# ::id a\n( x / y\n# mid\n  :ARG0 ( z / w ) )\n# ::snt end\n",
+        ],
+    )
+    def test_hand_cases(self, text):
+        assert read_outcome(entries_from_text, text) == read_outcome(
+            corpus_read.entries_from_text, text
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(corpus_texts())
+    def test_reader_equals_oracle(self, text):
+        assert read_outcome(entries_from_text, text) == read_outcome(
+            corpus_read.entries_from_text, text
+        )
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block once it has run ``seconds``: a regex search checks
+    for signals as it steps, so a search that backtracks for hours is
+    stopped by the alarm instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestReaderIsLinear:
+    @pytest.mark.parametrize(
+        "make, records",
+        [
+            # an unanchored record pattern retries this line from each space
+            (lambda: "( a / b )\n" + " " * 1_000_000 + "\n( c / d )\n", 2),
+            (lambda: "( a / b\n" + "\t" * 1_000_000 + "x )\n", 1),
+            (lambda: "( a / b )\n" + "# a comment\n" * 200_000, 1),
+            (lambda: "# ::snt " + "w" * 1_000_000 + "\n( a / b )\n", 1),
+        ],
+        ids=["blank-line-of-spaces", "line-of-tabs", "hash-lines", "long-snt"],
+    )
+    def test_reads_in_linear_time(self, make, records):
+        text = make()
+        start = time.perf_counter()
+        with deadline(2):
+            entries = entries_from_text(text)
+        assert time.perf_counter() - start < 2
+        assert len(entries) == records
+
+
+def conjunction(rng: random.Random, ops: int) -> str:
+    """One valid graph: an ``and`` over ``ops`` valid templates whose
+    variables are renamed apart."""
+    parts = []
+    for op in range(ops):
+        template = rng.choice(VALID_TEMPLATES)
+        renamed = re.sub(r"(?<![\w-])([a-z])(?![\w-])", rf"\g<1>{op}", template)
+        parts.append(f":op{op + 1} {renamed}")
+    return f"( and / and {' '.join(parts)} )"
+
+
+class TestMemory:
+    # large pretty-printed graphs, so a reader that makes a string per
+    # line spends several times the text on them
+    @pytest.fixture(scope="class")
+    def text(self) -> str:
+        rng = random.Random(3)
+        return corpus_text([(f"p{i}", pretty(conjunction(rng, 8))) for i in range(400)])
+
+    def test_reader_makes_no_string_per_line(self, text):
+        tracemalloc.start()
+        try:
+            entries = entries_from_text(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 400
+        assert peak - held < 0.5 * len(text)
+
+    def test_validate_streams_the_kept_document(self, text, tmp_path):
+        path = tmp_path / "in.amr"
+        path.write_text(text, encoding="utf-8")
+        kept = tmp_path / "kept.amr"
+        argv = ["validate", str(path), "--report", str(tmp_path / "r"), "--kept-out", str(kept)]
+        main(argv)  # loads the lexicon and builds the parser, both cached
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept.read_text(encoding="utf-8") == text
+        assert peak < 3.5 * os.path.getsize(path)
 
 
 class TestWriting:
