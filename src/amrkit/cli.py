@@ -266,7 +266,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _align_pairs(
     pred_entries: list[CorpusEntry], gold_entries: list[CorpusEntry]
-) -> tuple[list[tuple[Optional[CorpusEntry], CorpusEntry]], list[str]]:
+) -> tuple[list[tuple[CorpusEntry, CorpusEntry]], list[str]]:
     """Pair predictions with references by ::id when both files carry ids
     everywhere, by position otherwise."""
     pred_ids = [e.id for e in pred_entries]
@@ -353,10 +353,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"unparseable reference graphs: {', '.join(bad_gold[:5])}"
             + (f" (+{len(bad_gold) - 5} more)" if len(bad_gold) > 5 else "")
         )
-    pairs = [
-        (pred.graph if pred is not None else None, gold.graph)
-        for pred, gold in paired
-    ]
+    pairs = [(pred.graph, gold.graph) for pred, gold in paired]
     aggregate, per_pair = score_corpus(pairs, config, jobs=args.jobs, macro=args.macro)
     _write_text(args.output, [_score_report(labels, per_pair, aggregate, args.format)])
     if args.min_f1 is not None and aggregate.f1 < args.min_f1:

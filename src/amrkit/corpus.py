@@ -10,8 +10,9 @@ validates entries through one ordered parallel map over forked worker
 processes, so its outcome is in corpus order for any worker count.
 Filtering, canonical writing and statistics parse each entry once and
 cache no graph on it, so their memory follows the text, not the graphs.
-Reading holds the text and the entries, with no string per line; a
-document is laid out block by block, so a writer need never hold it whole.
+Reading scans the text once with one pattern and holds the text and the
+entries, with no string per line; a document is laid out block by block,
+so a writer need never hold it whole.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._parallel import parallel_map
@@ -94,13 +94,11 @@ def _entry_label(entry: CorpusEntry, position: int) -> str:
 
 
 _META_KEY_RE = re.compile(r"::(\S+)")
-# a run of lines holding more than spaces and tabs; group 1 is its first
-# line if that is a '#' line.  Anchored at line starts, or a search would
-# retry a long blank line from each of its characters (quadratic)
-_RECORD_RE = re.compile(r"(?m)^(?:([ \t]*#.*)|[ \t]*[^ \t\n].*)(?:\n[ \t]*[^ \t\n].*)*")
-# a '#' line after a record's first, anchored at the line break in front:
-# the search skips to each break, where (?m)^ would try every character
-_COMMENT_RE = re.compile(r"\n([ \t]*#.*)")
+# a '#' line (group 1 from its '#') or a run of lines that are neither
+# blank nor '#' lines; consecutive matches more than one character apart
+# have a blank line between them.  Anchored at line starts, or a search
+# would retry a long blank line from each of its characters (quadratic)
+_LINES_RE = re.compile(r"(?m)^[ \t]*(?:(#.*)|[^ \t\n#].*(?:\n[ \t]*[^ \t\n#].*)*)")
 
 
 def entries_from_text(text: str) -> list[CorpusEntry]:
@@ -112,36 +110,37 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     any other separator stays inside its metadata value or string.  Only
     spaces and tabs make a line blank; a line of other whitespace, such as
     a form feed, stays in its record, and a record of nothing but such
-    lines is skipped like a blank line.  Two patterns over the whole text
-    find records and ``#`` lines, so no string is made per line.
+    lines is skipped like a blank line.  One pattern, scanned once, finds
+    ``#`` lines and runs of graph lines, so no string is made per line.
     """
     entries: list[CorpusEntry] = []
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     line, counted = 1, 0  # the line number at offset counted
-    for record in _RECORD_RE.finditer(text):
-        start, end = record.span()
+    matches = _LINES_RE.finditer(text)
+    match = next(matches, None)
+    while match:
         meta: dict[str, str] = {}
         parts: list[str] = []  # the runs of graph lines around the '#' lines
-        cursor = start  # where the graph lines not yet taken begin
-        source = graph = end  # the first metadata or graph line, the first graph line
-        comments = _COMMENT_RE.finditer(text, start, end)
-        for comment in chain((record,), comments) if record.start(1) >= 0 else comments:
-            head, tail = comment.span(1)
-            if cursor < head:
-                graph = graph if parts else cursor
-                parts.append(text[cursor : head - 1])
-            # a '#' line may carry several '::key value' fields; each value
-            # runs to the next '::' or the end of the line
-            if len(fields := _META_KEY_RE.split(comment[1])) > 1:
-                source = source if meta else head
-                meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
-            cursor = tail + 1
-        if cursor < end:
-            graph = graph if parts else cursor
-            parts.append(text[cursor:end])
-        # no '#' line and nothing but other whitespace, such as a form feed
-        # page break; or plain comments alone
-        if (cursor == start and parts[0].isspace()) or not (parts or meta):
+        hashed = False  # whether the record has a '#' line
+        source = graph = len(text)  # the first metadata line, the first graph line
+        while True:
+            if match.start(1) < 0:
+                graph = min(graph, match.start())
+                parts.append(match[0])
+            else:
+                hashed = True
+                # a '#' line may carry several '::key value' fields; each
+                # value runs to the next '::' or the end of the line
+                if len(fields := _META_KEY_RE.split(match[1])) > 1:
+                    source = min(source, match.start())
+                    meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
+            end = match.end()
+            match = next(matches, None)
+            if not match or match.start() > end + 1:  # a blank line ends the record
+                break
+        # plain comments alone; or no '#' line and nothing but other
+        # whitespace, such as a form feed page break
+        if not (parts or meta) or (not hashed and parts[0].isspace()):
             continue
         source = min(source, graph)
         line += text.count("\n", counted, source)
@@ -198,6 +197,22 @@ def _document_blocks(
         separator = "\n"
 
 
+def _checked_blocks(
+    entries: Sequence[CorpusEntry], canonical: bool, remove_wiki: bool
+) -> Iterator[str]:
+    """The blocks of ``format_amr_document``; every check runs before this
+    returns, so a writer that opens its file afterwards writes none on error."""
+    if not canonical:
+        return _document_blocks(entries)
+    texts = list(_canonical_lines(entries, remove_wiki))
+    labels = (_entry_label(entry, position) for position, entry in enumerate(entries))
+    if bad := [label for label, text in zip(labels, texts) if isinstance(text, ParseError)]:
+        raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
+    if unwritable := next((text for text in texts if isinstance(text, ValueError)), None):
+        raise unwritable
+    return _document_blocks(entries, texts)
+
+
 def format_amr_document(
     entries: Sequence[CorpusEntry],
     canonical: bool = True,
@@ -212,15 +227,7 @@ def format_amr_document(
     cannot write raise one naming its entry.
     With ``canonical=False`` the raw graph text is written back unchanged.
     """
-    if not canonical:
-        return "".join(_document_blocks(entries))
-    texts = list(_canonical_lines(entries, remove_wiki))
-    labels = (_entry_label(entry, position) for position, entry in enumerate(entries))
-    if bad := [label for label, text in zip(labels, texts) if isinstance(text, ParseError)]:
-        raise ValueError(f"cannot write unparseable entries: {', '.join(bad)}")
-    if unwritable := next((text for text in texts if isinstance(text, ValueError)), None):
-        raise unwritable
-    return "".join(_document_blocks(entries, texts))
+    return "".join(_checked_blocks(entries, canonical, remove_wiki))
 
 
 def write_amr_file(
@@ -229,10 +236,11 @@ def write_amr_file(
     canonical: bool = True,
     remove_wiki: bool = True,
 ) -> None:
-    """Write entries to a corpus file; see ``format_amr_document``."""
-    text = format_amr_document(entries, canonical, remove_wiki)
+    """Write entries to a corpus file block by block; see
+    ``format_amr_document``.  On error no file is made."""
+    blocks = _checked_blocks(entries, canonical, remove_wiki)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(blocks)
 
 
 @dataclass(frozen=True)

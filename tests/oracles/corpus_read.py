@@ -1,5 +1,5 @@
 """The line-at-a-time corpus reader that ``amrkit.corpus`` replaced with
-two compiled patterns scanned over the whole text.
+one compiled pattern scanned once over the whole text.
 
 Kept as an oracle: for any text, ``entries_from_text`` here and in
 ``amrkit.corpus`` must give the same entries, down to metadata, graph

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
+import io
 import os
 import random
 import re
 import signal
+import tempfile
 import time
 import tracemalloc
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amrkit.cli
+import amrkit.corpus
 from amrkit import (
     AmrGraph,
     CorpusEntry,
@@ -390,6 +396,12 @@ class TestReaderOracle:
             "( a / b\n\u2028\n)",
             "#::id\n( x / y )\n\n#::id\n( z / w )",
             "# banner\n# ::id a\n( x / y\n# mid\n  :ARG0 ( z / w ) )\n# ::snt end\n",
+            # a blank line of tabs between a graph run and the next record;
+            # a tab-indented '#' line right after a graph line; a last '#'
+            # line with no line break
+            "# ::id a\n( x / y )\n\t\t\n# ::id b\n( z / w )",
+            "( x / y\n\t# ::id a\n  :ARG0 ( z / w ) )",
+            "# ::id a\n( x / y )\n# ::snt end",
         ],
     )
     def test_hand_cases(self, text):
@@ -403,6 +415,54 @@ class TestReaderOracle:
         assert read_outcome(entries_from_text, text) == read_outcome(
             corpus_read.entries_from_text, text
         )
+
+
+def cli_outcomes(pred: str, gold: str) -> list:
+    """Every subcommand run through ``main`` on corpus files holding
+    ``pred`` and ``gold``: each exit code, stdout, stderr and output file."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {"pred": pred, "gold": gold}
+        for name, text in inputs.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        path = functools.partial(os.path.join, tmp)
+        commands = [
+            ["canonicalize", path("pred"), "-o", path("out")],
+            ["canonicalize", "-", "--keep-wiki"],
+            ["stats", path("pred"), "--format", "json"],
+            ["split", path("pred"), "--test-size", "1", "--train-out", path("a"),
+             "--test-out", path("b")],
+            ["sample", path("pred"), "-n", "1", "--seed", "3", "-o", path("out")],
+        ]
+        for jobs in ("1", "2"):
+            commands.append(["validate", path("pred"), "--jobs", jobs, "--report", path("r"),
+                             "--kept-out", path("k")])
+            commands.append(["score", path("pred"), path("gold"), "--jobs", jobs])
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with mock.patch("sys.stdin", io.StringIO(pred)):
+                    code = main(argv)
+            files = {}
+            for name in sorted(set(os.listdir(tmp)) - set(inputs)):
+                with open(path(name), "rb") as handle:
+                    files[name] = handle.read()
+                os.remove(path(name))
+            streams = [stream.getvalue().replace(tmp, "TMP") for stream in (out, err)]
+            outcomes.append((argv[0], code, *streams, files))
+    return outcomes
+
+
+class TestCliMatchesOracleReader:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_texts(), corpus_texts(), st.booleans())
+    def test_every_subcommand_equals_oracle(self, pred, other, same):
+        gold = pred if same else other
+        expected = cli_outcomes(pred, gold)
+        with mock.patch.object(amrkit.corpus, "entries_from_text", corpus_read.entries_from_text):
+            with mock.patch.object(amrkit.cli, "entries_from_text", corpus_read.entries_from_text):
+                assert cli_outcomes(pred, gold) == expected
 
 
 @contextlib.contextmanager
@@ -432,8 +492,10 @@ class TestReaderIsLinear:
             (lambda: "( a / b\n" + "\t" * 1_000_000 + "x )\n", 1),
             (lambda: "( a / b )\n" + "# a comment\n" * 200_000, 1),
             (lambda: "# ::snt " + "w" * 1_000_000 + "\n( a / b )\n", 1),
+            # a graph run retries this line's spaces once, and no more
+            (lambda: "( a / b )\n" + " " * 1_000_000 + "# c\n( c / d )\n", 1),
         ],
-        ids=["blank-line-of-spaces", "line-of-tabs", "hash-lines", "long-snt"],
+        ids=["blank-line-of-spaces", "line-of-tabs", "hash-lines", "long-snt", "spaces-then-hash"],
     )
     def test_reads_in_linear_time(self, make, records):
         text = make()
@@ -487,6 +549,21 @@ class TestMemory:
             tracemalloc.stop()
         assert kept.read_text(encoding="utf-8") == text
         assert peak < 3.5 * os.path.getsize(path)
+
+    # raw, the writer holds one block at a time; canonical, it also holds
+    # every canonical line, about as much as it writes
+    @pytest.mark.parametrize("canonical, bound", [(False, 0.5), (True, 2)])
+    def test_writer_streams_the_document(self, text, tmp_path, canonical, bound):
+        entries = entries_from_text(text)
+        path = tmp_path / "out.amr"
+        tracemalloc.start()
+        try:
+            write_amr_file(entries, str(path), canonical=canonical)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(read_amr_file(str(path))) == len(entries)
+        assert peak < bound * os.path.getsize(path)
 
 
 class TestWriting:
