@@ -20,25 +20,25 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .corpus import (
     CorpusEntry,
     CorpusFormatError,
-    FilterOutcome,
     _canonical_lines,
     _document_blocks,
+    _entry_chunks,
     _entry_label,
+    _pieces,
     entries_from_text,
     filter_corpus,
-    read_amr_file,
     sample_corpus,
     split_corpus,
     top_node_stats,
 )
 from .penman import ParseError
 from .smatch import MatchConfig, SmatchScore, score_corpus
-from .validate import LexiconError, Rule, default_frame_lexicon, load_frame_lexicon
+from .validate import LexiconError, Rule, Violation, default_frame_lexicon, load_frame_lexicon
 
 
 class CliError(Exception):
@@ -49,20 +49,46 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read_entries(path: str) -> list[CorpusEntry]:
+def _read_chunks(path: str) -> Iterator[list[CorpusEntry]]:
+    """The corpus at ``path`` (``-``: stdin) as lists of entries, read and
+    scanned piece by piece; a reading error is raised as a CliError when
+    the scan reaches it, a duplicate ``::id`` at the end."""
     try:
         if path != "-":
-            return read_amr_file(path)
-        # strict UTF-8 like a file, whatever encoding sys.stdin decodes with
-        if hasattr(sys.stdin, "buffer"):
-            return entries_from_text(sys.stdin.buffer.read().decode("utf-8"))
-        return entries_from_text(sys.stdin.read())
+            with open(path, "rb") as stream:
+                yield from _entry_chunks(_pieces(stream))
+        elif hasattr(sys.stdin, "buffer"):
+            # strict UTF-8 like a file, whatever encoding sys.stdin decodes with
+            yield from _entry_chunks(_pieces(sys.stdin.buffer))
+        else:
+            yield entries_from_text(sys.stdin.read())
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise CliError(f"cannot read {path}: {err}") from err
     except CorpusFormatError as err:
         raise CliError(f"{path}: {err}") from err
+
+
+def _read_entries(path: str) -> list[CorpusEntry]:
+    return [entry for entries in _read_chunks(path) for entry in entries]
+
+
+def _spool() -> IO[str]:
+    """An unnamed temporary file that holds output until the whole input
+    has been read without error, so that an error writes nothing."""
+    # only validate and canonicalize spool; importlib.resources has
+    # loaded tempfile already, so this import is a lookup
+    import tempfile
+
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+
+def _spooled(spool: IO[str]) -> Iterator[str]:
+    """What ``spool`` holds, from its start, a block at a time."""
+    spool.seek(0)
+    while block := spool.read(1 << 16):
+        yield block
 
 
 def _write_text(path: Optional[str], parts: Iterable[str]) -> None:
@@ -182,27 +208,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:
-    entries = _read_entries(args.input)
-    lines = list(_canonical_lines(entries, remove_wiki=not args.keep_wiki))
-    for position, (entry, line) in enumerate(zip(entries, lines)):
-        if not isinstance(line, ParseError):
-            continue
-        label = _entry_label(entry, position)
-        base = (entry.graph_line or entry.source_line or 1) - 1
-        for diag in line.diagnostics:
-            print(
-                f"{label}: {base + diag.line}:{diag.column}: "
-                f"{diag.code.value}: {diag.message}",
-                file=sys.stderr,
-            )
-    if any(isinstance(line, ParseError) for line in lines):
-        return 2
-    # a graph that parses can still lack a canonical form: without its
-    # :wiki edge, a node may be connected only by its own outgoing edges
-    unwritable = next((line for line in lines if isinstance(line, ValueError)), None)
-    if unwritable is not None:
-        raise CliError(str(unwritable))
-    _write_text(args.output, _document_blocks(entries, lines))
+    failed = False
+    unwritable: Optional[ValueError] = None
+    start = 0  # the corpus position of the chunk's first entry
+    with _spool() as document, _spool() as diagnostics:
+        for entries in _read_chunks(args.input):
+            lines = list(_canonical_lines(entries, not args.keep_wiki, start))
+            for position, (entry, line) in enumerate(zip(entries, lines), start):
+                if isinstance(line, ParseError):
+                    failed = True
+                    label = _entry_label(entry, position)
+                    base = (entry.graph_line or entry.source_line or 1) - 1
+                    for diag in line.diagnostics:
+                        diagnostics.write(
+                            f"{label}: {base + diag.line}:{diag.column}: "
+                            f"{diag.code.value}: {diag.message}\n"
+                        )
+                # a graph that parses can still lack a canonical form: without
+                # its :wiki edge, a node may be connected only by its own
+                # outgoing edges
+                elif isinstance(line, ValueError) and unwritable is None:
+                    unwritable = line
+            if not failed and unwritable is None:
+                separator = "\n" if start else ""
+                document.writelines(_document_blocks(entries, lines, separator))
+            start += len(entries)
+            del entries, lines  # not held while the next chunk is read
+        if failed:
+            sys.stderr.writelines(_spooled(diagnostics))
+            return 2
+        if unwritable is not None:
+            raise CliError(str(unwritable))
+        _write_text(args.output, _spooled(document))
     return 0
 
 
@@ -213,33 +250,49 @@ def _render(fmt: str, payload: dict, lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validation_report(outcome: FilterOutcome, fmt: str) -> str:
-    counts = outcome.violation_counts()
-    kept = outcome.kept_n
-    total = len(outcome.results)
-    violations = [
-        {
-            "entry": _entry_label(entry, position),
-            "rule": violation.rule.value,
-            "node": violation.node,
-            "detail": violation.detail,
-        }
-        for position, (entry, report) in enumerate(outcome.results)
-        for violation in report.violations
-    ]
-    payload = {
-        "entries": total,
-        "kept": kept,
-        "discarded": total - kept,
-        "rule_counts": {rule.value: counts.get(rule, 0) for rule in Rule},
-        "violations": violations,
+def _violation_row(fmt: str, label: str, violation: Violation, first: bool) -> str:
+    """One violation as the report writes it: a tab-separated line, or an
+    item of the JSON report's ``violations`` list, laid out as
+    ``json.dumps(indent=2)`` nests it, after a comma unless ``first``."""
+    row = {
+        "entry": label,
+        "rule": violation.rule.value,
+        "node": violation.node,
+        "detail": violation.detail,
     }
+    if fmt == "json":
+        item = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+        return item if first else ",\n" + item
     # a TSV row is the JSON object's values, tab-separated
-    lines = ["\t".join(row.values()) for row in violations]
-    rule_text = " ".join(f"{rule} {n}" for rule, n in payload["rule_counts"].items())
-    lines.append(f"# entries {total} kept {kept} discarded {total - kept}")
-    lines.append(f"# {rule_text}")
-    return _render(fmt, payload, lines)
+    return "\t".join(row.values()) + "\n"
+
+
+def _validation_report(
+    fmt: str, total: int, kept: int, counts: dict[Rule, int], rows: IO[str]
+) -> Iterator[str]:
+    """The report around the violation rows spooled in ``rows``: after the
+    counts in JSON, before them in TSV."""
+    rule_counts = {rule.value: n for rule, n in counts.items()}
+    if fmt == "json":
+        payload = {
+            "entries": total,
+            "kept": kept,
+            "discarded": total - kept,
+            "rule_counts": rule_counts,
+            "violations": [],
+        }
+        head = json.dumps(payload, indent=2)
+        if not any(counts.values()):
+            yield head + "\n"
+            return
+        # the rows go into the empty list that ends the payload
+        yield head.removesuffix("[]\n}") + "[\n"
+        yield from _spooled(rows)
+        yield "\n  ]\n}\n"
+        return
+    yield from _spooled(rows)
+    rule_text = " ".join(f"{rule} {n}" for rule, n in rule_counts.items())
+    yield f"# entries {total} kept {kept} discarded {total - kept}\n# {rule_text}\n"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -256,12 +309,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ) from err
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
-    entries = _read_entries(args.input)
-    outcome = filter_corpus(entries, lexicon, args.unknown_frames, jobs=args.jobs)
-    _write_text(args.report, [_validation_report(outcome, args.format)])
-    if args.kept_out:
-        _write_text(args.kept_out, _document_blocks(outcome.kept))
-    return 1 if outcome.discarded else 0
+    counts = dict.fromkeys(Rule, 0)
+    total = kept = 0
+    with _spool() as rows, _spool() as document:
+        for entries in _read_chunks(args.input):
+            outcome = filter_corpus(entries, lexicon, args.unknown_frames, jobs=args.jobs)
+            for position, (entry, report) in enumerate(outcome.results, total):
+                label = _entry_label(entry, position)
+                for violation in report.violations:
+                    first = not any(counts.values())
+                    rows.write(_violation_row(args.format, label, violation, first))
+                    counts[violation.rule] += 1
+            passed = outcome.kept
+            if args.kept_out:
+                document.writelines(_document_blocks(passed, separator="\n" if kept else ""))
+            kept += len(passed)
+            total += len(entries)
+            del entries, outcome, passed  # not held while the next chunk is read
+        _write_text(args.report, _validation_report(args.format, total, kept, counts, rows))
+        if args.kept_out:
+            _write_text(args.kept_out, _spooled(document))
+    return 1 if kept < total else 0
 
 
 def _align_pairs(

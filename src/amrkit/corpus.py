@@ -10,9 +10,11 @@ validates entries through one ordered parallel map over forked worker
 processes, so its outcome is in corpus order for any worker count.
 Filtering, canonical writing and statistics parse each entry once and
 cache no graph on it, so their memory follows the text, not the graphs.
-Reading scans the text once with one pattern and holds the text and the
-entries, with no string per line; a document is laid out block by block,
-so a writer need never hold it whole.
+Reading cuts a file into pieces of about ``_PIECE_BYTES``, each ending
+before a blank line, and scans each piece once with one pattern, with no
+string per line; a reader can take the entries a piece at a time, so it
+need hold only one piece and the ids seen so far.  A document is laid out
+block by block, so a writer need never hold it whole.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._parallel import parallel_map
 from .graph import AmrGraph
@@ -99,6 +101,148 @@ _META_KEY_RE = re.compile(r"::(\S+)")
 # have a blank line between them.  Anchored at line starts, or a search
 # would retry a long blank line from each of its characters (quadratic)
 _LINES_RE = re.compile(r"(?m)^[ \t]*(?:(#.*)|[^ \t\n#].*(?:\n[ \t]*[^ \t\n#].*)*)")
+# a record's "line id" in the ids that _entry_chunks checks at the end
+_ID_RECORD_RE = re.compile(r"(\d+) (.*)\n")
+# a blank line, ended by any line break: a cut just before it, after a
+# '\n', splits no line break and no record
+_BLANK_LINE_RE = re.compile(rb"[ \t]*[\r\n]")
+# the bytes read before a piece is cut: about the most text one piece
+# holds, unless a single record is longer
+_PIECE_BYTES = 1 << 20
+
+
+class _PieceDecodeError(UnicodeDecodeError):
+    """A UTF-8 error in one piece of a stream: ``start`` and ``end`` count
+    from the piece, which starts at byte ``offset`` of the stream, and the
+    message names the stream position, as a decode of the whole would."""
+
+    def __init__(self, err: UnicodeDecodeError, offset: int):
+        super().__init__(err.encoding, err.object, err.start, err.end, err.reason)
+        self.offset = offset
+
+    def __str__(self) -> str:
+        start, end = self.offset + self.start, self.offset + self.end
+        if self.end == self.start + 1 and self.start < len(self.object):
+            what = f"byte 0x{self.object[self.start]:02x} in position {start}"
+        else:
+            what = f"bytes in position {start}-{end - 1}"
+        return f"'{self.encoding}' codec can't decode {what}: {self.reason}"
+
+
+def _pieces(stream: BinaryIO) -> Iterator[str]:
+    """The UTF-8 text of a byte stream in pieces, each but the last cut
+    just after a line break that a blank line follows, so that no record
+    spans two pieces.  A piece is cut at the last such break once
+    ``_PIECE_BYTES`` have been read; a record longer than that stretches
+    its piece.  Neither its bytes nor its text are kept once a piece is
+    handed out."""
+    buffer = bytearray()
+    offset = 0  # the stream position of buffer[0]
+    search = 0  # no blank line starts in buffer before this
+    while block := stream.read(min(_PIECE_BYTES, 1 << 16)):
+        buffer += block
+        if len(buffer) < _PIECE_BYTES:
+            continue
+        # cut after the last '\n' that a blank line follows, or not at all
+        end = len(buffer)
+        while cut := buffer.rfind(b"\n", search, end) + 1:
+            if _BLANK_LINE_RE.match(buffer, cut):
+                break
+            end = cut - 1
+        # a blank line that a later block completes starts at the last '\n'
+        search = buffer.rfind(b"\n", max(search, cut))
+        search = (len(buffer) if search < 0 else search) - cut
+        if cut:
+            yield _take(buffer, cut, offset)
+            offset += cut
+    if buffer:
+        yield _take(buffer, len(buffer), offset)
+
+
+def _take(buffer: bytearray, size: int, offset: int) -> str:
+    """Remove the first ``size`` bytes of ``buffer``, which start at byte
+    ``offset`` of the stream, and return their text, decoded in place."""
+    try:
+        with memoryview(buffer) as view, view[:size] as piece:
+            text = str(piece, "utf-8")
+    except UnicodeDecodeError as err:
+        raise _PieceDecodeError(err, offset) from None
+    del buffer[:size]
+    return text
+
+
+def _entry_chunks(pieces: Iterable[str]) -> Iterator[list[CorpusEntry]]:
+    """The entries of a corpus fed in pieces, each but the last ending just
+    before a blank line: one list per piece, no graph parsed.
+
+    The line count runs on from piece to piece, and a leading byte-order
+    mark is dropped from the first.  A record with metadata but no graph
+    text raises CorpusFormatError as the scan reaches it; two records
+    sharing an ``::id`` raise it only after the last list, so a later
+    record without graph text is reported instead.  One pattern, scanned
+    once over each piece, finds ``#`` lines and runs of graph lines, so
+    no string is made per line.
+    """
+    # "line id" of each record with an id, one to a line, in one buffer:
+    # a few bytes per record, where a set or dict of ids costs over 100
+    # while the scan runs
+    ids = bytearray()
+    line = 1  # the line number at offset counted
+    for number, text in enumerate(pieces):
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if not number:
+            text = text.removeprefix("\ufeff")
+        entries: list[CorpusEntry] = []
+        counted = 0
+        matches = _LINES_RE.finditer(text)
+        match = next(matches, None)
+        while match:
+            meta: dict[str, str] = {}
+            parts: list[str] = []  # the runs of graph lines around the '#' lines
+            hashed = False  # whether the record has a '#' line
+            source = graph = len(text)  # the first metadata line, the first graph line
+            while True:
+                if match.start(1) < 0:
+                    graph = min(graph, match.start())
+                    parts.append(match[0])
+                else:
+                    hashed = True
+                    # a '#' line may carry several '::key value' fields; each
+                    # value runs to the next '::' or the end of the line
+                    if len(fields := _META_KEY_RE.split(match[1])) > 1:
+                        source = min(source, match.start())
+                        meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
+                end = match.end()
+                match = next(matches, None)
+                if not match or match.start() > end + 1:  # a blank line ends the record
+                    break
+            # plain comments alone; or no '#' line and nothing but other
+            # whitespace, such as a form feed page break
+            if not (parts or meta) or (not hashed and parts[0].isspace()):
+                continue
+            source = min(source, graph)
+            line += text.count("\n", counted, source)
+            counted = source
+            if not parts:
+                label = meta.get("id") or f"line {line}"
+                raise CorpusFormatError(f"record {label} has no PENMAN block")
+            graph_line = line + text.count("\n", source, graph)
+            if name := meta.get("id"):
+                ids += f"{line} {name}\n".encode("utf-8", "surrogatepass")
+            entries.append(CorpusEntry(meta, "\n".join(parts), line, graph_line))
+        line += text.count("\n", counted)
+        # the entries hold copies of what they need of the piece
+        del text, matches
+        if entries:
+            yield entries
+    records = ids.decode("utf-8", "surrogatepass")
+    seen: set[str] = set()
+    for record in _ID_RECORD_RE.finditer(records):
+        number, name = record.groups()
+        if name in seen:
+            first = next(m[1] for m in _ID_RECORD_RE.finditer(records) if m[2] == name)
+            raise CorpusFormatError(f"duplicate ::id {name!r} at lines {first} and {number}")
+        seen.add(name)
 
 
 def entries_from_text(text: str) -> list[CorpusEntry]:
@@ -110,68 +254,28 @@ def entries_from_text(text: str) -> list[CorpusEntry]:
     any other separator stays inside its metadata value or string.  Only
     spaces and tabs make a line blank; a line of other whitespace, such as
     a form feed, stays in its record, and a record of nothing but such
-    lines is skipped like a blank line.  One pattern, scanned once, finds
-    ``#`` lines and runs of graph lines, so no string is made per line.
+    lines is skipped like a blank line.  The text is read as the one piece
+    of the reader that ``read_amr_file`` and the ``validate`` and
+    ``canonicalize`` commands feed piece by piece.
     """
-    entries: list[CorpusEntry] = []
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    line, counted = 1, 0  # the line number at offset counted
-    matches = _LINES_RE.finditer(text)
-    match = next(matches, None)
-    while match:
-        meta: dict[str, str] = {}
-        parts: list[str] = []  # the runs of graph lines around the '#' lines
-        hashed = False  # whether the record has a '#' line
-        source = graph = len(text)  # the first metadata line, the first graph line
-        while True:
-            if match.start(1) < 0:
-                graph = min(graph, match.start())
-                parts.append(match[0])
-            else:
-                hashed = True
-                # a '#' line may carry several '::key value' fields; each
-                # value runs to the next '::' or the end of the line
-                if len(fields := _META_KEY_RE.split(match[1])) > 1:
-                    source = min(source, match.start())
-                    meta.update(zip(fields[1::2], map(str.strip, fields[2::2])))
-            end = match.end()
-            match = next(matches, None)
-            if not match or match.start() > end + 1:  # a blank line ends the record
-                break
-        # plain comments alone; or no '#' line and nothing but other
-        # whitespace, such as a form feed page break
-        if not (parts or meta) or (not hashed and parts[0].isspace()):
-            continue
-        source = min(source, graph)
-        line += text.count("\n", counted, source)
-        counted = source
-        if not parts:
-            label = meta.get("id") or f"line {line}"
-            raise CorpusFormatError(f"record {label} has no PENMAN block")
-        graph_line = line + text.count("\n", source, graph)
-        entries.append(CorpusEntry(meta, "\n".join(parts), line, graph_line))
-    first_line: dict[Optional[str], int] = {}
-    for entry in entries:
-        first = first_line.setdefault(entry.id, entry.source_line)
-        if first != entry.source_line and entry.id is not None:
-            raise CorpusFormatError(
-                f"duplicate ::id {entry.id!r} at lines {first} and {entry.source_line}"
-            )
-    return entries
+    return [entry for entries in _entry_chunks([text]) for entry in entries]
 
 
 def read_amr_file(path: str) -> list[CorpusEntry]:
-    """Read a corpus file into entries; graphs are parsed lazily."""
-    with open(path, encoding="utf-8") as handle:
-        return entries_from_text(handle.read())
+    """Read a UTF-8 corpus file into entries; graphs are parsed lazily.
+    The file is read and scanned piece by piece, so only the entries are
+    held at the end."""
+    with open(path, "rb") as stream:
+        return [entry for entries in _entry_chunks(_pieces(stream)) for entry in entries]
 
 
 def _canonical_lines(
-    entries: Sequence[CorpusEntry], remove_wiki: bool
+    entries: Sequence[CorpusEntry], remove_wiki: bool, start: int = 0
 ) -> Iterator[Union[str, ParseError, ValueError]]:
     """Each entry's canonical line, its ParseError, or a ValueError naming an
-    entry the canonical form cannot write; each parsed once, no graph kept."""
-    for position, entry in enumerate(entries):
+    entry the canonical form cannot write, the first entry at corpus
+    position ``start``; each parsed once, no graph kept."""
+    for position, entry in enumerate(entries, start):
         graph, line = entry._parse_once()
         if graph is not None:
             try:
@@ -183,13 +287,14 @@ def _canonical_lines(
 
 
 def _document_blocks(
-    entries: Sequence[CorpusEntry], texts: Optional[Iterable[str]] = None
+    entries: Sequence[CorpusEntry], texts: Optional[Iterable[str]] = None, separator: str = ""
 ) -> Iterator[str]:
     """Corpus text block by block: one ``# ::key value`` line per metadata
-    key, then the entry's item of ``texts`` (default: its graph text)."""
+    key, then the entry's item of ``texts`` (default: its graph text).
+    ``separator`` goes before the first block: a blank line continues a
+    document already begun."""
     if texts is None:
         texts = (entry.graph_text for entry in entries)
-    separator = ""
     for entry, text in zip(entries, texts):
         lines = [f"# ::{key} {value}".rstrip() for key, value in entry.metadata.items()]
         lines.append(text)

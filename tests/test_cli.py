@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ import time
 import pytest
 
 import amrkit
+import amrkit.corpus
 from amrkit.cli import _align_pairs, main
 from genutil import (
     AND_ARITY_BAD,
@@ -263,6 +265,206 @@ class TestValidate:
         report_path = tmp_path / "report.tsv"
         assert main(["validate", path, "--report", str(report_path)]) == 1
         assert "broken\tStructural" in report_path.read_text(encoding="utf-8")
+
+
+# records of 70 to 100 bytes, so that 64-byte pieces hold a record or two
+EARLY_RECORDS = [(f"a{k}", VALID_TEMPLATES[k]) for k in range(4)]
+LATE_ERRORS = {
+    "duplicate-id": corpus_text(EARLY_RECORDS + [("a1", VALID_TEMPLATES[4])]),
+    "no-penman-block": corpus_text(EARLY_RECORDS) + "\n# ::id z\n",
+    "no-penman-block-after-a-duplicate": (
+        corpus_text(EARLY_RECORDS + [("a1", VALID_TEMPLATES[4])]) + "\n# ::id z\n"
+    ),
+}
+
+
+@pytest.fixture()
+def small_pieces(monkeypatch):
+    """Cut corpus input into pieces of about 64 bytes, a record or two."""
+    monkeypatch.setattr(amrkit.corpus, "_PIECE_BYTES", 64)
+
+
+def late_error_argv(command: str, path: str, tmp_path, jobs: str) -> list[str]:
+    if command == "validate":
+        return ["validate", path, "--jobs", jobs, "--report", str(tmp_path / "report"),
+                "--kept-out", str(tmp_path / "kept")]
+    return ["canonicalize", path, "-o", str(tmp_path / "out")]
+
+
+@pytest.mark.usefixtures("small_pieces")
+class TestLateErrors:
+    """An input error past the first chunk stops a command as one before
+    any output does: the same message and exit status, nothing on stdout,
+    and no output file made or changed."""
+
+    OUTPUTS = ("report", "kept", "out")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["validate", "canonicalize"])
+    @pytest.mark.parametrize("case", sorted(LATE_ERRORS))
+    def test_reader_error_writes_nothing(self, tmp_path, capsys, case, command, jobs, existing):
+        text = LATE_ERRORS[case]
+        path = tmp_path / "in.amr"
+        path.write_text(text, encoding="utf-8")
+        if existing:
+            for name in self.OUTPUTS:
+                (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+        assert main(late_error_argv(command, str(path), tmp_path, jobs)) == 2
+        captured = capsys.readouterr()
+        with pytest.raises(amrkit.CorpusFormatError) as whole:
+            amrkit.entries_from_text(text)
+        assert captured.out == ""
+        assert captured.err == f"amrkit: {path}: {whole.value}\n"
+        for name in self.OUTPUTS:
+            if existing:
+                assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+            else:
+                assert not (tmp_path / name).exists()
+
+    def test_late_errors_are_todays_messages(self):
+        messages = []
+        for case in sorted(LATE_ERRORS):
+            with pytest.raises(amrkit.CorpusFormatError) as err:
+                amrkit.entries_from_text(LATE_ERRORS[case])
+            messages.append(str(err.value))
+        assert messages == [
+            "duplicate ::id 'a1' at lines 4 and 13",
+            "record z has no PENMAN block",
+            "record z has no PENMAN block",
+        ]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["validate", "canonicalize"])
+    def test_decode_error_names_the_byte_in_the_stream(
+        self, tmp_path, capsys, monkeypatch, command, jobs, source
+    ):
+        data = corpus_text(EARLY_RECORDS).encode("utf-8") + b"\n# ::id b\n( x / boy\xff )\n"
+        bad = data.index(b"\xff")
+        assert bad > 4 * 64
+        path = tmp_path / "in.amr"
+        path.write_bytes(data)
+        name = str(path)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            name = "-"
+        assert main(late_error_argv(command, name, tmp_path, jobs)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"amrkit: cannot read {name}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {bad}: invalid start byte\n"
+        )
+        assert [name for name in self.OUTPUTS if (tmp_path / name).exists()] == []
+
+    def test_decode_error_spanning_bytes_names_the_first_and_last(self, tmp_path, capsys):
+        # a three-byte sequence cut short by a line break: a whole decode
+        # names one byte; one that runs to the end names a range
+        data = corpus_text(EARLY_RECORDS).encode("utf-8") + b"\n( x / boy )\xe2\x82"
+        path = tmp_path / "in.amr"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert main(["canonicalize", str(path)]) == 2
+        assert capsys.readouterr().err == f"amrkit: cannot read {path}: {whole.value}\n"
+        assert f"in position {len(data) - 2}-{len(data) - 1}: unexpected end of data" in str(
+            whole.value
+        )
+
+    def test_unparseable_entries_in_later_chunks_print_every_diagnostic(self, tmp_path, capsys):
+        records = EARLY_RECORDS + [("b1", "( b / boy"), ("a4", VALID_TEMPLATES[4])]
+        text = corpus_text(records) + "\n( c / girl :mod\n"
+        path = tmp_path / "in.amr"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["canonicalize", str(path), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "b1: 14:10: UnbalancedParen: missing ')'\n"
+            "#7: 19:16: MalformedToken: role ':mod' has no value\n"
+            "#7: 19:16: UnbalancedParen: missing ')'\n"
+        )
+        assert not out.exists()
+
+    def test_parse_errors_in_a_later_chunk_win_over_an_unwritable_entry(self, tmp_path, capsys):
+        records = [("w1", "( a / x :wiki ( w / y :ARG0 a ) )")] + EARLY_RECORDS + [("b1", "( b / boy")]
+        path = tmp_path / "in.amr"
+        path.write_text(corpus_text(records), encoding="utf-8")
+        assert main(["canonicalize", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "b1: 17:10: UnbalancedParen: missing ')'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_report_path_leaves_no_kept_file(self, tmp_path, capsys):
+        path = tmp_path / "in.amr"
+        path.write_text(corpus_text(EARLY_RECORDS + [("bad", AND_ARITY_BAD)]), encoding="utf-8")
+        kept = tmp_path / "kept"
+        argv = ["validate", str(path), "--report", str(tmp_path / "no" / "report"), "--kept-out", str(kept)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"amrkit: cannot write {tmp_path / 'no' / 'report'}: ")
+        assert not kept.exists()
+
+    def test_output_may_replace_its_input(self, tmp_path, capsys):
+        # the input is read to its end before the output file is opened
+        text = corpus_text(EARLY_RECORDS)
+        path = tmp_path / "in.amr"
+        path.write_text(text, encoding="utf-8")
+        assert main(["canonicalize", str(path), "-o", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == text
+        assert main(["validate", str(path), "--report", os.devnull, "--kept-out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == text
+
+
+class TestChunking:
+    """Outputs do not depend on how the input is cut into chunks."""
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_validate_report_and_kept_entries(self, tmp_path, monkeypatch, fmt, jobs):
+        defects = [(AND_ARITY_BAD, 3), (ILLEGAL_ARG_BAD, 3), (STRUCTURAL_BAD, 3)]
+        document, planted = planted_corpus(5, 40, defects)
+        # an entry without an id is named by its position in the whole corpus
+        unnamed = max(planted[STRUCTURAL_BAD])
+        document = document.replace(f"# ::id {unnamed}\n", "")
+        path = tmp_path / "in.amr"
+        path.write_text(document, encoding="utf-8")
+        outputs = []
+        for size in (1 << 30, 64, 1):
+            monkeypatch.setattr(amrkit.corpus, "_PIECE_BYTES", size)
+            out = io.StringIO()
+            kept = tmp_path / f"kept-{size}"
+            with contextlib.redirect_stdout(out):
+                code = main(["validate", str(path), "--jobs", jobs, "--format", fmt, "--kept-out", str(kept)])
+            outputs.append((code, out.getvalue(), kept.read_text(encoding="utf-8")))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        code, report, kept_text = outputs[0]
+        assert code == 1
+        assert len(amrkit.entries_from_text(kept_text)) == 31
+        assert f"#{int(unnamed[1:]) + 1}" in report
+        if fmt == "json":
+            payload = json.loads(report)
+            assert report == json.dumps(payload, indent=2) + "\n"
+            assert payload["discarded"] == 9 and len(payload["violations"]) == 9
+
+    def test_json_report_without_violations(self, corpus_file, capsys):
+        path = corpus_file("in.amr", corpus_text(EARLY_RECORDS))
+        assert main(["validate", path, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert '"violations": []' in out
+
+    def test_canonical_document(self, tmp_path, monkeypatch):
+        document, _ = planted_corpus(6, 30, [("( a / boy :wiki \"Q1\" :mod ( b / big ) )", 4)])
+        path = tmp_path / "in.amr"
+        path.write_text(document, encoding="utf-8")
+        outputs = []
+        for size in (1 << 30, 64, 1):
+            monkeypatch.setattr(amrkit.corpus, "_PIECE_BYTES", size)
+            assert main(["canonicalize", str(path), "-o", str(tmp_path / "out")]) == 0
+            outputs.append((tmp_path / "out").read_text(encoding="utf-8"))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[0] == amrkit.format_amr_document(amrkit.entries_from_text(document))
 
 
 class TestScore:

@@ -417,6 +417,60 @@ class TestReaderOracle:
         )
 
 
+def read_in_pieces(text: str) -> list[CorpusEntry]:
+    """``text`` read as the commands read a file: as UTF-8 bytes cut into
+    pieces of about ``_PIECE_BYTES``, scanned one piece at a time."""
+    pieces = amrkit.corpus._pieces(io.BytesIO(text.encode("utf-8")))
+    return [entry for entries in amrkit.corpus._entry_chunks(pieces) for entry in entries]
+
+
+class TestChunkedReader:
+    """The reader fed in pieces equals the reader fed the whole text, and
+    the line-at-a-time oracle, wherever the pieces are cut."""
+
+    @staticmethod
+    def assert_same(text: str, size: int) -> None:
+        with mock.patch.object(amrkit.corpus, "_PIECE_BYTES", size):
+            chunked = read_outcome(read_in_pieces, text)
+        assert chunked == read_outcome(entries_from_text, text)
+        assert chunked == read_outcome(corpus_read.entries_from_text, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a read may end between '\r' and '\n'
+            "# ::id a\r\n( x / y )\r\n\r\n# ::id b\r\n( z / w )\r\n\r\n\r\n( v / u\r\n  :mod ( t / s ) )\r\n",
+            "\ufeff# ::id a\n( x / y )\n\n# ::id b\n( z / w )\n",
+            # a blank line of spaces longer than a read, and one of tabs
+            "( a / b )\n" + " " * 150 + "\n( c / d )\n\t\t\t\n\n( e / f )\n",
+            "# ::id a\n( x / y )\n\n# ::id b\n( z / w )\n# ::snt end",
+            "# ::id a\r( x / y )\r\r# ::id b\r( z / w )\r",
+            "# ::snt Kis Péter látja\n( l / lát-01 :ARG0 ( p / person ) )\n\n# ::id ő\n( x / y )\n",
+            "# ::id a\n( x / y )\n\n# ::id b\n( z / w )\n\n# ::id a\n( v / u )\n\n# ::id c\n",
+            "# ::id a\n( x / y )\n\n" * 5 + "\x0c\n\n# ::id b\n\x0c\n( z / w )\n",
+        ],
+        ids=["crlf", "byte-order-mark", "long-blank-lines", "hash-line-ends-input", "lone-cr",
+             "multibyte", "duplicate-then-no-graph", "form-feeds"],
+    )
+    def test_hand_cases(self, text):
+        for size in range(1, len(text.encode("utf-8")) + 2):
+            self.assert_same(text, size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_texts(), st.integers(1, 64))
+    def test_pieces_equal_whole_text(self, text, size):
+        self.assert_same(text, size)
+
+    def test_pieces_are_cut_before_blank_lines(self):
+        text = corpus_text([(f"r{k}", VALID_TEMPLATES[k % 6]) for k in range(20)])
+        with mock.patch.object(amrkit.corpus, "_PIECE_BYTES", 100):
+            pieces = list(amrkit.corpus._pieces(io.BytesIO(text.encode("utf-8"))))
+        assert "".join(pieces) == text
+        assert len(pieces) > 5
+        assert all(piece.endswith("\n") for piece in pieces)
+        assert all(piece.startswith("\n#") for piece in pieces[1:])
+
+
 def cli_outcomes(pred: str, gold: str) -> list:
     """Every subcommand run through ``main`` on corpus files holding
     ``pred`` and ``gold``: each exit code, stdout, stderr and output file."""
@@ -463,6 +517,17 @@ class TestCliMatchesOracleReader:
         with mock.patch.object(amrkit.corpus, "entries_from_text", corpus_read.entries_from_text):
             with mock.patch.object(amrkit.cli, "entries_from_text", corpus_read.entries_from_text):
                 assert cli_outcomes(pred, gold) == expected
+
+
+class TestCliIgnoresPieceSize:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus_texts(), corpus_texts(), st.integers(1, 64))
+    def test_every_subcommand_equals_one_piece(self, pred, gold, size):
+        # one piece holds the whole file, as the oracle property reads it
+        with mock.patch.object(amrkit.corpus, "_PIECE_BYTES", 1 << 30):
+            expected = cli_outcomes(pred, gold)
+        with mock.patch.object(amrkit.corpus, "_PIECE_BYTES", size):
+            assert cli_outcomes(pred, gold) == expected
 
 
 @contextlib.contextmanager
@@ -549,6 +614,34 @@ class TestMemory:
             tracemalloc.stop()
         assert kept.read_text(encoding="utf-8") == text
         assert peak < 3.5 * os.path.getsize(path)
+
+    @pytest.mark.parametrize("command", ["validate", "canonicalize"])
+    def test_commands_hold_one_chunk(self, text, tmp_path, command):
+        # with pieces a fifth of the fixture, a corpus eight times as long
+        # takes less than half as much memory again as the fixture alone
+        paths = []
+        for copies in (1, 8):
+            renamed = [text.replace("# ::id p", f"# ::id c{copy}p") for copy in range(copies)]
+            paths.append(tmp_path / f"in{copies}.amr")
+            paths[-1].write_text("\n".join(renamed), encoding="utf-8")
+        peaks = []
+        with mock.patch.object(amrkit.corpus, "_PIECE_BYTES", 1 << 16):
+            for first, path in zip((True, False), paths):
+                if command == "validate":
+                    argv = ["validate", str(path), "--report", str(tmp_path / "r"),
+                            "--kept-out", str(tmp_path / "out")]
+                else:
+                    argv = ["canonicalize", str(path), "-o", str(tmp_path / "out")]
+                if first:
+                    main(argv)  # loads the lexicon and builds the parser, both cached
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert os.path.getsize(paths[1]) > 7 * os.path.getsize(paths[0])
+        assert peaks[1] < 1.5 * peaks[0]
 
     # raw, the writer holds one block at a time; canonical, it also holds
     # every canonical line, about as much as it writes
