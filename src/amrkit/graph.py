@@ -5,13 +5,24 @@ roles and point at other variables or at constants.  Graphs are immutable
 after construction and every constructed value satisfies the structural
 invariants (unique variable definitions, connectivity from the root), so
 downstream code never has to re-validate.
+
+Value objects are frozen, so graphs may share them, and parsed graphs do:
+the parser builds each distinct ``Variable``, ``Concept`` and ``Constant``
+once per process.  Compare values and graphs by equality, not identity.
+Each distinct value is still checked, once, by its own constructor, and
+each cache of values or of role verdicts keeps at most ``_CACHE_SIZE``
+entries.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Mapping, Optional, Union
+
+# The most entries each cache of parsed values or of role verdicts keeps.
+_CACHE_SIZE = 4096
 
 # Characters that delimit tokens in PENMAN notation and therefore can never
 # appear inside a variable name, concept label or bare constant.
@@ -55,10 +66,11 @@ class Concept:
     def __post_init__(self) -> None:
         _check_token(self.label, "concept label")
 
-    @property
+    @cached_property
     def is_frame(self) -> bool:
         """True when the label, in NFC, is lowercase lemma segments with a
-        trailing two- or three-digit sense, e.g. ``go-01`` or ``lát-01``."""
+        trailing two- or three-digit sense, e.g. ``go-01`` or ``lát-01``.
+        Worked out once per object."""
         label = self.label
         if not label.isascii():
             from unicodedata import normalize  # loaded only once a label needs it
@@ -125,6 +137,12 @@ Target = Union[Variable, Constant]
 _ROLE_RE = re.compile(r':[^\s()/"]+')
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _is_role(role: str) -> bool:
+    """Whether ``role`` is well formed, remembered for each distinct role."""
+    return _ROLE_RE.fullmatch(role) is not None
+
+
 @dataclass(frozen=True)
 class Edge:
     """One labeled edge."""
@@ -134,7 +152,7 @@ class Edge:
     target: Target
 
     def __post_init__(self) -> None:
-        if not _ROLE_RE.fullmatch(self.role):
+        if not _is_role(self.role):
             raise ValueError(f"malformed role: {self.role!r}")
 
 

@@ -7,6 +7,12 @@ column) only when a problem is reported, so a clean parse computes no
 position.  ``serialize_canonical`` writes the one canonical surface form:
 a single line, depth-first, each variable expanded at its first mention,
 a space before and after every parenthesis.
+
+Parsed graphs may share their immutable value objects: each distinct
+variable name, concept label and constant is built and checked by its own
+constructor once per process, and later parses reuse that object, so
+compare graphs and values by equality, not identity.  Each of the three
+caches keeps at most ``_CACHE_SIZE`` values.
 """
 
 from __future__ import annotations
@@ -15,11 +21,18 @@ import enum
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .graph import AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
+from .graph import _CACHE_SIZE, AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
 
 WIKI_ROLE = ":wiki"
+
+# the parser's constructors: the first call with a value builds and checks
+# it, later calls return that frozen object
+_variable = lru_cache(maxsize=_CACHE_SIZE)(Variable)
+_concept = lru_cache(maxsize=_CACHE_SIZE)(Concept)
+_constant = lru_cache(maxsize=_CACHE_SIZE)(Constant)
 
 
 class DiagnosticCode(enum.Enum):
@@ -146,7 +159,7 @@ class _Parser:
         self.resolve_pending()
         if self.diags:
             raise ParseError(self.diags)
-        variables = {name: Variable(name) for name in self.instances}
+        variables = {name: _variable(name) for name in self.instances}
         edges = [
             Edge(variables[source], role, variables[target] if isinstance(target, str) else target)
             for source, role, target in self.edges
@@ -176,7 +189,7 @@ class _Parser:
                     edges.append((source, token, stack[-1]))
                 elif target[:1] == '"':
                     self.pos += 1
-                    edges.append((source, token, Constant(target[1:-1], "string")))
+                    edges.append((source, token, _constant(target[1:-1], "string")))
                 elif target[:1] not in _NOT_ATOM:
                     self.pos += 1
                     self.pending.append((len(edges), pos))
@@ -238,7 +251,7 @@ class _Parser:
             self.report(DiagnosticCode.MISSING_CONCEPT, "expected a concept after '/'", self.pos)
             return Concept("_missing")
         self.pos += 1
-        return Concept(label)
+        return _concept(label)
 
     def resolve_pending(self) -> None:
         """Decide whether each bare target token is a variable reference or
@@ -251,7 +264,7 @@ class _Parser:
                 continue  # stays a reference
             kind = _bare_kind(text)
             if kind is not None:
-                self.edges[index] = (source, role, Constant(text, kind))
+                self.edges[index] = (source, role, _constant(text, kind))
             else:
                 self.report(DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", at)
 

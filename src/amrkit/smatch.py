@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -376,8 +377,8 @@ def _climb(weights: _Weights, assign: list[Optional[int]]) -> int:
     terms of a table joining them at ``(a, c)`` and ``(c, a)``: the count
     after minus the count before, as integers, so no step changes.  A move
     updates only the fields of the moved variables' table neighbours, and
-    the candidate rows of the moved variables and of the holders of names
-    they have a term for.
+    the sorted candidate rows of the moved variables (rebuilt) and of the
+    holders of names they have a term for (patched).
     """
     cand, wanted_by, neighbours, joint = weights.climb_index
     size = weights.gold_count
@@ -431,9 +432,23 @@ def _climb(weights: _Weights, assign: list[Optional[int]]) -> int:
             shift(holder, a, current)
         if current is not None:
             owner[current] = holder
-        moved = (i,) if holder is None else (i, holder)
-        for v in {owner[b] for m in moved for b in cand[m]}.union(moved) - {None}:
-            rows[v] = row(v)
+        moved = [(i, current, a)] if holder is None else [(i, current, a), (holder, a, current)]
+        for m, _, _ in moved:
+            rows[m] = row(m)
+        # an unmoved variable holding a name that m has a term for offers
+        # m's name in its row: swap m's old name there for its new one,
+        # unless that variable's own candidates hold it (during a swap a
+        # name may sit in a row twice, until the second move takes one out)
+        for m, old, new in moved:
+            for b in cand[m]:
+                v = owner[b]
+                if v is None or v == i or v == holder:
+                    continue
+                names, own = rows[v], cand[v]
+                if old is not None and old not in own:
+                    del names[bisect_left(names, old)]
+                if new is not None and new not in own:
+                    insort(names, new)
         matched += best_gain
 
 

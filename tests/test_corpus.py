@@ -14,6 +14,7 @@ import tempfile
 import time
 import tracemalloc
 import weakref
+from typing import Iterable, Iterator
 from unittest import mock
 
 import pytest
@@ -448,9 +449,11 @@ class TestChunkedReader:
             "# ::snt Kis Péter látja\n( l / lát-01 :ARG0 ( p / person ) )\n\n# ::id ő\n( x / y )\n",
             "# ::id a\n( x / y )\n\n# ::id b\n( z / w )\n\n# ::id a\n( v / u )\n\n# ::id c\n",
             "# ::id a\n( x / y )\n\n" * 5 + "\x0c\n\n# ::id b\n\x0c\n( z / w )\n",
+            # runs of empty lines count toward later line numbers
+            "# ::id a\n( x / y )\n\n\n\n( z / w )\n\n\n# ::id a\n( v / u )\n",
         ],
         ids=["crlf", "byte-order-mark", "long-blank-lines", "hash-line-ends-input", "lone-cr",
-             "multibyte", "duplicate-then-no-graph", "form-feeds"],
+             "multibyte", "duplicate-then-no-graph", "form-feeds", "empty-line-runs"],
     )
     def test_hand_cases(self, text):
         for size in range(1, len(text.encode("utf-8")) + 2):
@@ -508,15 +511,29 @@ def cli_outcomes(pred: str, gold: str) -> list:
     return outcomes
 
 
+def oracle_chunks(pieces: Iterable[str]) -> Iterator[list[CorpusEntry]]:
+    """``_entry_chunks`` by the oracle: the pieces joined and read whole,
+    as one list."""
+    entries = corpus_read.entries_from_text("".join(pieces))
+    if entries:
+        yield entries
+
+
 class TestCliMatchesOracleReader:
     @settings(max_examples=100, deadline=None)
     @given(corpus_texts(), corpus_texts(), st.booleans())
     def test_every_subcommand_equals_oracle(self, pred, other, same):
+        # the commands read files through _entry_chunks and a stdin without
+        # a byte buffer through entries_from_text: the oracle takes both
         gold = pred if same else other
         expected = cli_outcomes(pred, gold)
-        with mock.patch.object(amrkit.corpus, "entries_from_text", corpus_read.entries_from_text):
-            with mock.patch.object(amrkit.cli, "entries_from_text", corpus_read.entries_from_text):
-                assert cli_outcomes(pred, gold) == expected
+        with contextlib.ExitStack() as patches:
+            for module in (amrkit.corpus, amrkit.cli):
+                patches.enter_context(
+                    mock.patch.object(module, "entries_from_text", corpus_read.entries_from_text)
+                )
+                patches.enter_context(mock.patch.object(module, "_entry_chunks", oracle_chunks))
+            assert cli_outcomes(pred, gold) == expected
 
 
 class TestCliIgnoresPieceSize:

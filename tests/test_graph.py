@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import re
 import string
@@ -105,6 +107,22 @@ class TestAtoms:
     )
     def test_ascii_labels_classify_as_before(self, label):
         assert Concept(label).is_frame == (ASCII_FRAME_RE.match(label) is not None)
+
+    def test_is_frame_survives_pickling(self):
+        decomposed = unicodedata.normalize("NFD", "lát-01")
+        for label in ["want-01", "boy", "lát-01", decomposed, "Lát-01"]:
+            expected = Concept(label).is_frame
+            # pickled before and after the verdict is worked out and kept
+            for concept in (Concept(label), parse(f"( a / {label} )").instances[Variable("a")]):
+                for _ in range(2):
+                    back = pickle.loads(pickle.dumps(concept))
+                    assert back == concept and hash(back) == hash(concept)
+                    assert back.is_frame is expected
+                    assert concept.is_frame is expected
+        # a copy with another label works its verdict out afresh
+        want = Concept("want-01")
+        assert want.is_frame
+        assert not dataclasses.replace(want, label="boy").is_frame
 
     def test_string_constant_keeps_interior_verbatim(self):
         value = "New (York) :city  double  spaces"

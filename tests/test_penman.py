@@ -19,13 +19,17 @@ from amrkit import (
     ParseError,
     Variable,
     canonicalize,
+    default_frame_lexicon,
     parse,
     serialize_canonical,
     strip_wiki,
+    validate,
 )
 from amrkit import penman
 from amrkit.corpus import CorpusEntry
+from amrkit.graph import _is_role
 from amrkit.penman import _Parser, _shown
+from amrkit.validate import _role_kinds
 from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
 from oracles import penman_lex
 
@@ -192,6 +196,132 @@ class TestLazyOffsets:
             "unterminated quoted string",
             "expected '(' but found 'abc'",
         ]
+
+
+def values_of(graph: AmrGraph) -> list:
+    """Every Variable, Concept and Constant object the graph holds."""
+    out: list = [graph.root, *graph.instances, *graph.instances.values()]
+    for edge in graph.edges:
+        out += [edge.source, edge.target]
+    return out
+
+
+def fresh_copy(graph: AmrGraph) -> AmrGraph:
+    """The same graph, built from value objects made afresh."""
+
+    def fresh(value):
+        if isinstance(value, Variable):
+            return Variable(value.name)
+        return Constant(value.value, value.kind)
+
+    return AmrGraph.build(
+        fresh(graph.root),
+        {fresh(var): Concept(concept.label) for var, concept in graph.instances.items()},
+        [(fresh(e.source), e.role, fresh(e.target)) for e in graph.edges],
+    )
+
+
+def diagnostics_of(text: str) -> tuple[str, list]:
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    return str(info.value), info.value.diagnostics
+
+
+class TestSharedValues:
+    """The parser builds each distinct value once per process and shares
+    the object; a shared value is equal to a freshly built one, and every
+    check still runs on every value it has not built before."""
+
+    MEMOS = (penman._variable, penman._concept, penman._constant)
+
+    def test_parses_share_one_object_per_value(self):
+        one = parse('( w / want-01 :ARG0 ( b / boy :name "Kis" ) :ARG1 ( g / go-01 :ARG0 b ) )')
+        two = parse('( g / go-01 :polarity - :ARG0 ( b / boy ) :mod ( w / want-01 :name "Kis" ) )')
+        first = {}
+        for value in values_of(one) + values_of(two):
+            assert first.setdefault(value, value) is value
+        assert {type(v).__name__ for v in first} == {"Variable", "Concept", "Constant"}
+        assert len(first) == 8  # b g w, boy go-01 want-01, "Kis" -
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            WANT_GO_PRETTY,
+            '( s / say-01 :ARG0 ( i / i ) :ARG1 "x y" :mode imperative'
+            " :time ( d / date-entity :year 2024 ) )",
+        ],
+    )
+    def test_shared_graph_equals_graph_of_fresh_values(self, text):
+        parse(text)
+        graph = parse(text)  # every value now comes from the caches
+        fresh = fresh_copy(graph)
+        assert not any(a is b for a, b in zip(values_of(fresh), values_of(graph)))
+        assert fresh == graph
+        assert serialize_canonical(fresh) == serialize_canonical(graph)
+        assert fresh.triples() == graph.triples()
+        assert fresh.triples(include_top=True) == graph.triples(include_top=True)
+        for var, concept in fresh.instances.items():
+            assert concept.is_frame == graph.instances[var].is_frame
+
+    def test_caches_stay_within_their_bound(self):
+        # more distinct variables, labels, constants and roles than a
+        # cache keeps; the oldest are dropped
+        count = penman._CACHE_SIZE + 50
+        nodes = " ".join(f':ARG{k} ( v{k} / c{k}-x :quant {k} :name "s{k}" )' for k in range(count))
+        graph = parse(f"( r / root {nodes} )")
+        assert len(graph.instances) == count + 1
+        validate(graph, default_frame_lexicon())
+        for memo in (*self.MEMOS, _is_role, _role_kinds):
+            info = memo.cache_info()
+            assert info.maxsize == penman._CACHE_SIZE
+            assert info.currsize == penman._CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "( w / want-01 :ARG0 ( w / boy ) )",
+            "( w / want-01 :ARG0 boy2 :quant 5 )",
+            '( c / city :name "New York )',
+            "( w / :ARG0 ( b / boy ) :mod - )",
+            '( w / want-01 : ( b / boy :name "Kis" ) ) )',
+            '( x / y :mod "a" :quant 5 :polarity - :op1 zz / )',
+        ],
+    )
+    def test_warm_caches_report_what_cold_caches_do(self, text):
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        cold = diagnostics_of(text)
+        # valid graphs holding the bad text's variables, labels and constants
+        parse('( w / want-01 :ARG0 ( b / boy :name "Kis" ) :mod ( x / y :quant 5 :polarity - ) )')
+        parse('( c / city :name "New York )" :mod ( z / zz :op1 "a" ) )')
+        assert all(memo.cache_info().currsize for memo in self.MEMOS)
+        assert diagnostics_of(text) == cold
+
+    @pytest.mark.parametrize(
+        "make, args, message",
+        [
+            (Variable, ("",), "variable name must be non-empty"),
+            (Variable, ("a b",), "variable name 'a b' contains illegal character ' '"),
+            (Concept, ("x)",), "concept label 'x)' contains illegal character ')'"),
+            (Constant, ("boy", "symbol"), "'boy' does not read back as a symbol constant"),
+            (Constant, ('a"b', "string"), "quoted constant cannot contain a quote character"),
+            (Constant, ("1:2", "number"), "number constant '1:2' contains illegal character ':'"),
+            (Edge, (Variable("a"), "ARG0", Variable("b")), "malformed role: 'ARG0'"),
+        ],
+    )
+    def test_constructors_check_every_value(self, make, args, message):
+        # warm every cache with good values and roles; a bad value is never
+        # cached, so each call, direct or memoized, checks it again
+        parse('( a / x :ARG0 ( b / boy ) :mod "ab" :quant 12 :polarity - )')
+        memoized = {
+            Variable: penman._variable,
+            Concept: penman._concept,
+            Constant: penman._constant,
+        }.get(make, make)
+        for build in (make, memoized, make, memoized):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == message
 
 
 class TestStripWiki:

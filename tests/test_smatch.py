@@ -3,7 +3,9 @@ pair and corpus scores."""
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -616,6 +618,48 @@ class TestClimbFields:
             names, count = ours
             final = [None if name is None else gold_names.index(name) for name in names]
             assert count == _Weights(pred, gold, include_top).count(final)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pred_size=st.integers(1, 25),
+        gold_size=st.integers(1, 25),
+        seed=st.integers(0, 2**16),
+        include_top=st.booleans(),
+    )
+    def test_kept_rows_equal_rebuilt_rows(self, pred_size, gold_size, seed, include_top):
+        # at the top of every step, so after every move, each row _climb
+        # keeps up to date is the row built from scratch: the variable's
+        # candidates and the names of the holders that want its name,
+        # without its own name, sorted
+        rng = random.Random(seed)
+        pred = random_graph(rng, pred_size, min_vars=pred_size)
+        gold = random_graph(rng, gold_size, min_vars=gold_size)
+        weights = _Weights(pred, gold, include_top)
+        cand, wanted_by, _, _ = weights.climb_index
+        lines, first = inspect.getsourcelines(_climb)
+        step = first + [line.strip() for line in lines].index("best_gain, best_move = 0, None")
+        seen: list[tuple[list, list]] = []
+
+        def in_climb(frame, event, arg):
+            if event == "line" and frame.f_lineno == step:
+                state = frame.f_locals
+                seen.append((list(state["assign"]), [list(names) for names in state["rows"]]))
+            return in_climb
+
+        def calls(frame, event, arg):
+            return in_climb if frame.f_code is _climb.__code__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            _climb(weights, _random_assign(pred_size, gold_size, rng))
+        finally:
+            sys.settrace(previous)
+        assert seen
+        for assign, rows in seen:
+            for v, names in enumerate(rows):
+                wanting = {assign[h] for h in wanted_by.get(assign[v], ())}
+                assert names == sorted(cand[v].union(wanting) - {assign[v], None})
 
 
 # Hand-built pairs whose triples repeat or coincide: (pred, gold, the

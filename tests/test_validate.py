@@ -14,6 +14,7 @@ from amrkit import (
     AmrGraph,
     Concept,
     Constant,
+    Edge,
     FrameEntry,
     FrameLexicon,
     LexiconError,
@@ -28,6 +29,8 @@ from amrkit import (
     strip_wiki,
     validate,
 )
+from amrkit.graph import _ROLE_RE, _is_role
+from amrkit.validate import _ARG_OF_ROLE_RE, _ARG_ROLE_RE, _OP_ROLE_RE, _role_kinds
 from genutil import WANT_GO_PRETTY, random_graph
 from oracles import validate_scan
 
@@ -194,6 +197,20 @@ class TestFrameArgs:
         assert v.node == "w"
         assert v.detail == "frame 'want-01' does not allow :ARG5"
 
+    def test_any_numbered_arg_is_core(self):
+        # the lexicon file lists :ARG0 to :ARG6, but a graph's :ARG9 is a
+        # core role all the same, so no frame allows it
+        graph = parse("( w / want-01 :ARG9 ( b / boy ) )")
+        [v] = check_frame_args(graph, default_frame_lexicon())
+        assert (v.rule, v.node, v.detail) == (
+            Rule.ILLEGAL_ARG,
+            "w",
+            "frame 'want-01' does not allow :ARG9",
+        )
+        inverse = parse("( b / boy :ARG12-of ( w / want-01 ) )")
+        [v] = check_frame_args(inverse, default_frame_lexicon())
+        assert v.detail == "frame 'want-01' does not allow :ARG12"
+
     def test_unknown_frame_policies(self):
         graph = parse("( z / zorch-01 :ARG0 ( b / boy ) )")
         lexicon = default_frame_lexicon()
@@ -260,6 +277,32 @@ class TestFrameArgs:
         graph = parse("( s / snow-01 :ARG1 ( t / thing ) )")
         [v] = check_frame_args(graph, lexicon)
         assert v.detail == "frame 'snow-01' does not allow :ARG1"
+
+
+class TestRoleVerdicts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=8),
+            st.from_regex(r":(op|ARG|arg)[0-9]{0,3}(-of)?\n?", fullmatch=True),
+            st.text(alphabet=":opARG01-f \n", max_size=8),
+        )
+    )
+    def test_memoized_verdicts_equal_the_patterns(self, role):
+        expected = tuple(
+            pattern.match(role) is not None
+            for pattern in (_OP_ROLE_RE, _ARG_ROLE_RE, _ARG_OF_ROLE_RE)
+        )
+        well_formed = _ROLE_RE.fullmatch(role) is not None
+        for _ in range(2):  # worked out, then remembered
+            assert _role_kinds(role) == expected
+            assert _is_role(role) is well_formed
+            try:
+                Edge(Variable("a"), role, Variable("b"))
+            except ValueError:
+                assert not well_formed
+            else:
+                assert well_formed
 
 
 class TestValidate:
