@@ -7,22 +7,17 @@ invariants (unique variable definitions, connectivity from the root), so
 downstream code never has to re-validate.
 
 Value objects are frozen, so graphs may share them, and parsed graphs do:
-the parser builds each distinct ``Variable``, ``Concept`` and ``Constant``
-once per process.  Compare values and graphs by equality, not identity.
-Each distinct value is still checked, once, by its own constructor, and
-each cache of values or of role verdicts keeps at most ``_CACHE_SIZE``
-entries.
+the parser builds each distinct ``Variable`` and ``Concept`` once per
+process (see ``penman``), checked by its own constructor, from bounded
+caches.  Compare values and graphs by equality, not identity.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Literal, Mapping, Optional, Union
-
-# The most entries each cache of parsed values or of role verdicts keeps.
-_CACHE_SIZE = 4096
 
 # Characters that delimit tokens in PENMAN notation and therefore can never
 # appear inside a variable name, concept label or bare constant.
@@ -137,12 +132,6 @@ Target = Union[Variable, Constant]
 _ROLE_RE = re.compile(r':[^\s()/"]+')
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _is_role(role: str) -> bool:
-    """Whether ``role`` is well formed, remembered for each distinct role."""
-    return _ROLE_RE.fullmatch(role) is not None
-
-
 @dataclass(frozen=True)
 class Edge:
     """One labeled edge."""
@@ -152,7 +141,7 @@ class Edge:
     target: Target
 
     def __post_init__(self) -> None:
-        if not _is_role(self.role):
+        if not _ROLE_RE.fullmatch(self.role):
             raise ValueError(f"malformed role: {self.role!r}")
 
 

@@ -9,10 +9,11 @@ a single line, depth-first, each variable expanded at its first mention,
 a space before and after every parenthesis.
 
 Parsed graphs may share their immutable value objects: each distinct
-variable name, concept label and constant is built and checked by its own
+variable name and concept label is built and checked by its own
 constructor once per process, and later parses reuse that object, so
-compare graphs and values by equality, not identity.  Each of the three
-caches keeps at most ``_CACHE_SIZE`` values.
+compare graphs and values by equality, not identity.  Each of the two
+caches keeps at most ``_CACHE_SIZE`` values.  Constants, whose values vary
+far more than names and labels do, are built afresh for every edge.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .graph import _CACHE_SIZE, AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
+from .graph import AmrGraph, Concept, Constant, Edge, Variable, _bare_kind, _reachable
 
 WIKI_ROLE = ":wiki"
+
+# The most values each of the parser's caches keeps.
+_CACHE_SIZE = 4096
 
 # the parser's constructors: the first call with a value builds and checks
 # it, later calls return that frozen object
 _variable = lru_cache(maxsize=_CACHE_SIZE)(Variable)
 _concept = lru_cache(maxsize=_CACHE_SIZE)(Concept)
-_constant = lru_cache(maxsize=_CACHE_SIZE)(Constant)
 
 
 class DiagnosticCode(enum.Enum):
@@ -189,7 +192,7 @@ class _Parser:
                     edges.append((source, token, stack[-1]))
                 elif target[:1] == '"':
                     self.pos += 1
-                    edges.append((source, token, _constant(target[1:-1], "string")))
+                    edges.append((source, token, Constant(target[1:-1], "string")))
                 elif target[:1] not in _NOT_ATOM:
                     self.pos += 1
                     self.pending.append((len(edges), pos))
@@ -264,7 +267,7 @@ class _Parser:
                 continue  # stays a reference
             kind = _bare_kind(text)
             if kind is not None:
-                self.edges[index] = (source, role, _constant(text, kind))
+                self.edges[index] = (source, role, Constant(text, kind))
             else:
                 self.report(DiagnosticCode.UNDEFINED_VARIABLE, f"undefined variable {text!r}", at)
 

@@ -407,6 +407,8 @@ def _climb(weights: _Weights, assign: list[Optional[int]]) -> int:
     rows = [row(v) for v in range(len(assign))]
     matched = weights.count(assign)
     while True:
+        # a step starts here; tests read the kept rows where best_gain is
+        # first stored
         best_gain, best_move = 0, None
         for i, (current, names, fi, shared) in enumerate(zip(assign, rows, field, joint)):
             c = -1 if current is None else current

@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib.resources import files
 from typing import IO, Iterable, Mapping, Optional, Union
 
-from .graph import _CACHE_SIZE, AmrGraph, Concept, Variable
+from .graph import AmrGraph, Concept, Variable
 
 
 class Rule(enum.Enum):
@@ -178,18 +177,6 @@ _OP_ROLE_RE = re.compile(r"^:op\d+$")
 _ARG_ROLE_RE = re.compile(r"^:ARG\d+$")
 _ARG_OF_ROLE_RE = re.compile(r"^:ARG\d+-of$")
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _role_kinds(role: str) -> tuple[bool, bool, bool]:
-    """Whether ``role`` is an operand, a core argument and an inverse core
-    argument role, remembered for each distinct role."""
-    return (
-        _OP_ROLE_RE.match(role) is not None,
-        _ARG_ROLE_RE.match(role) is not None,
-        _ARG_OF_ROLE_RE.match(role) is not None,
-    )
-
-
 AND_MIN_OPERANDS = 2
 
 
@@ -197,7 +184,7 @@ def check_and_operands(graph: AmrGraph) -> list[Violation]:
     """Flag every ``and`` node with fewer than two ``:op`` edges."""
     op_counts: dict[str, int] = {}
     for edge in graph.edges:
-        if _role_kinds(edge.role)[0]:
+        if _OP_ROLE_RE.match(edge.role):
             op_counts[edge.source.name] = op_counts.get(edge.source.name, 0) + 1
     out = []
     for var, concept in graph.instances.items():
@@ -234,10 +221,9 @@ def check_frame_args(
     core_roles: dict[str, set[str]] = {}
     for edge in graph.edges:
         role = edge.role
-        _, arg, arg_of = _role_kinds(role)
-        if arg:
+        if _ARG_ROLE_RE.match(role):
             core_roles.setdefault(edge.source.name, set()).add(role)
-        elif arg_of and isinstance(edge.target, Variable):
+        elif _ARG_OF_ROLE_RE.match(role) and isinstance(edge.target, Variable):
             # an incoming :ARGn-of edge asserts the same fact as an outgoing
             # :ARGn edge, so both count as the frame using role :ARGn
             core_roles.setdefault(edge.target.name, set()).add(role[: -len("-of")])

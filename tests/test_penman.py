@@ -19,17 +19,13 @@ from amrkit import (
     ParseError,
     Variable,
     canonicalize,
-    default_frame_lexicon,
     parse,
     serialize_canonical,
     strip_wiki,
-    validate,
 )
 from amrkit import penman
 from amrkit.corpus import CorpusEntry
-from amrkit.graph import _is_role
 from amrkit.penman import _Parser, _shown
-from amrkit.validate import _role_kinds
 from genutil import WANT_GO_CANONICAL, WANT_GO_PRETTY, random_graph
 from oracles import penman_lex
 
@@ -228,20 +224,26 @@ def diagnostics_of(text: str) -> tuple[str, list]:
 
 
 class TestSharedValues:
-    """The parser builds each distinct value once per process and shares
-    the object; a shared value is equal to a freshly built one, and every
-    check still runs on every value it has not built before."""
+    """The parser builds each distinct variable and concept once per
+    process and shares the object; a shared value is equal to a freshly
+    built one, and every check still runs on every value it has not built
+    before.  Constants are built afresh for every edge."""
 
-    MEMOS = (penman._variable, penman._concept, penman._constant)
+    MEMOS = (penman._variable, penman._concept)
 
     def test_parses_share_one_object_per_value(self):
         one = parse('( w / want-01 :ARG0 ( b / boy :name "Kis" ) :ARG1 ( g / go-01 :ARG0 b ) )')
         two = parse('( g / go-01 :polarity - :ARG0 ( b / boy ) :mod ( w / want-01 :name "Kis" ) )')
         first = {}
+        constants = []
         for value in values_of(one) + values_of(two):
-            assert first.setdefault(value, value) is value
-        assert {type(v).__name__ for v in first} == {"Variable", "Concept", "Constant"}
-        assert len(first) == 8  # b g w, boy go-01 want-01, "Kis" -
+            if isinstance(value, Constant):
+                constants.append(value)
+            else:
+                assert first.setdefault(value, value) is value
+        assert {type(v).__name__ for v in first} == {"Variable", "Concept"}
+        assert len(first) == 6  # b g w, boy go-01 want-01
+        assert constants[0] == constants[2] and constants[0] is not constants[2]  # "Kis"
 
     @pytest.mark.parametrize(
         "text",
@@ -264,14 +266,13 @@ class TestSharedValues:
             assert concept.is_frame == graph.instances[var].is_frame
 
     def test_caches_stay_within_their_bound(self):
-        # more distinct variables, labels, constants and roles than a
-        # cache keeps; the oldest are dropped
+        # more distinct variables and labels than a cache keeps; the
+        # oldest are dropped
         count = penman._CACHE_SIZE + 50
-        nodes = " ".join(f':ARG{k} ( v{k} / c{k}-x :quant {k} :name "s{k}" )' for k in range(count))
+        nodes = " ".join(f":ARG{k} ( v{k} / c{k}-x )" for k in range(count))
         graph = parse(f"( r / root {nodes} )")
         assert len(graph.instances) == count + 1
-        validate(graph, default_frame_lexicon())
-        for memo in (*self.MEMOS, _is_role, _role_kinds):
+        for memo in self.MEMOS:
             info = memo.cache_info()
             assert info.maxsize == penman._CACHE_SIZE
             assert info.currsize == penman._CACHE_SIZE
@@ -313,11 +314,7 @@ class TestSharedValues:
         # warm every cache with good values and roles; a bad value is never
         # cached, so each call, direct or memoized, checks it again
         parse('( a / x :ARG0 ( b / boy ) :mod "ab" :quant 12 :polarity - )')
-        memoized = {
-            Variable: penman._variable,
-            Concept: penman._concept,
-            Constant: penman._constant,
-        }.get(make, make)
+        memoized = {Variable: penman._variable, Concept: penman._concept}.get(make, make)
         for build in (make, memoized, make, memoized):
             with pytest.raises(ValueError) as info:
                 build(*args)

@@ -3,7 +3,7 @@ pair and corpus scores."""
 
 from __future__ import annotations
 
-import inspect
+import dis
 import random
 import sys
 from collections import Counter
@@ -636,8 +636,19 @@ class TestClimbFields:
         gold = random_graph(rng, gold_size, min_vars=gold_size)
         weights = _Weights(pred, gold, include_top)
         cand, wanted_by, _, _ = weights.climb_index
-        lines, first = inspect.getsourcelines(_climb)
-        step = first + [line.strip() for line in lines].index("best_gain, best_move = 0, None")
+        # a step starts on the line that first stores best_gain (a fused
+        # STORE_FAST_STORE_FAST names two locals)
+        store = next(
+            ins.offset
+            for ins in dis.get_instructions(_climb)
+            if ins.opname.startswith("STORE_FAST")
+            and "best_gain" in (ins.argval if isinstance(ins.argval, tuple) else (ins.argval,))
+        )
+        step = [
+            line
+            for offset, line in dis.findlinestarts(_climb.__code__)
+            if offset <= store and line is not None
+        ][-1]
         seen: list[tuple[list, list]] = []
 
         def in_climb(frame, event, arg):
@@ -649,6 +660,8 @@ class TestClimbFields:
         def calls(frame, event, arg):
             return in_climb if frame.f_code is _climb.__code__ else None
 
+        # the tracer already installed, if any (a coverage tool's, say), is
+        # set aside for this one call and then put back
         previous = sys.gettrace()
         sys.settrace(calls)
         try:

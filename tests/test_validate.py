@@ -14,7 +14,6 @@ from amrkit import (
     AmrGraph,
     Concept,
     Constant,
-    Edge,
     FrameEntry,
     FrameLexicon,
     LexiconError,
@@ -29,8 +28,6 @@ from amrkit import (
     strip_wiki,
     validate,
 )
-from amrkit.graph import _ROLE_RE, _is_role
-from amrkit.validate import _ARG_OF_ROLE_RE, _ARG_ROLE_RE, _OP_ROLE_RE, _role_kinds
 from genutil import WANT_GO_PRETTY, random_graph
 from oracles import validate_scan
 
@@ -277,32 +274,6 @@ class TestFrameArgs:
         graph = parse("( s / snow-01 :ARG1 ( t / thing ) )")
         [v] = check_frame_args(graph, lexicon)
         assert v.detail == "frame 'snow-01' does not allow :ARG1"
-
-
-class TestRoleVerdicts:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.one_of(
-            st.text(max_size=8),
-            st.from_regex(r":(op|ARG|arg)[0-9]{0,3}(-of)?\n?", fullmatch=True),
-            st.text(alphabet=":opARG01-f \n", max_size=8),
-        )
-    )
-    def test_memoized_verdicts_equal_the_patterns(self, role):
-        expected = tuple(
-            pattern.match(role) is not None
-            for pattern in (_OP_ROLE_RE, _ARG_ROLE_RE, _ARG_OF_ROLE_RE)
-        )
-        well_formed = _ROLE_RE.fullmatch(role) is not None
-        for _ in range(2):  # worked out, then remembered
-            assert _role_kinds(role) == expected
-            assert _is_role(role) is well_formed
-            try:
-                Edge(Variable("a"), role, Variable("b"))
-            except ValueError:
-                assert not well_formed
-            else:
-                assert well_formed
 
 
 class TestValidate:
