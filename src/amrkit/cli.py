@@ -9,18 +9,21 @@ Subcommands:
 - ``split``: seeded train/test split
 - ``sample``: seeded subset of a corpus
 
-``-`` stands for stdin or stdout.  Exit status: 0 on success, 1 when the
-data failed a quality bar (validation discards, score under ``--min-f1``),
-2 for unusable input or arguments.
+``-`` stands for stdin or stdout; stdin is read as UTF-8 bytes, as a file
+is.  Every report comes from ``_report``, as JSON or TSV, a row at a time.
+Exit status: 0 on success, 1 when the data failed a quality bar
+(validation discards, score under ``--min-f1``), 2 for unusable input or
+arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .corpus import (
     CorpusEntry,
@@ -30,7 +33,6 @@ from .corpus import (
     _entry_chunks,
     _entry_label,
     _pieces,
-    entries_from_text,
     filter_corpus,
     sample_corpus,
     split_corpus,
@@ -38,7 +40,7 @@ from .corpus import (
 )
 from .penman import ParseError
 from .smatch import MatchConfig, SmatchScore, score_corpus
-from .validate import LexiconError, Rule, Violation, default_frame_lexicon, load_frame_lexicon
+from .validate import LexiconError, Rule, default_frame_lexicon, load_frame_lexicon
 
 
 class CliError(Exception):
@@ -57,11 +59,9 @@ def _read_chunks(path: str) -> Iterator[list[CorpusEntry]]:
         if path != "-":
             with open(path, "rb") as stream:
                 yield from _entry_chunks(_pieces(stream))
-        elif hasattr(sys.stdin, "buffer"):
+        else:
             # strict UTF-8 like a file, whatever encoding sys.stdin decodes with
             yield from _entry_chunks(_pieces(sys.stdin.buffer))
-        else:
-            yield entries_from_text(sys.stdin.read())
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
@@ -243,56 +243,34 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render(fmt: str, payload: dict, lines: list[str]) -> str:
-    """The report text: ``payload`` as indented JSON, or ``lines`` as TSV."""
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    return "\n".join(lines) + "\n"
-
-
-def _violation_row(fmt: str, label: str, violation: Violation, first: bool) -> str:
-    """One violation as the report writes it: a tab-separated line, or an
-    item of the JSON report's ``violations`` list, laid out as
-    ``json.dumps(indent=2)`` nests it, after a comma unless ``first``."""
-    row = {
-        "entry": label,
-        "rule": violation.rule.value,
-        "node": violation.node,
-        "detail": violation.detail,
-    }
-    if fmt == "json":
-        item = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
-        return item if first else ",\n" + item
-    # a TSV row is the JSON object's values, tab-separated
-    return "\t".join(row.values()) + "\n"
-
-
-def _validation_report(
-    fmt: str, total: int, kept: int, counts: dict[Rule, int], rows: IO[str]
+def _report(
+    fmt: str,
+    payload: dict,
+    key: str = "",
+    rows: Iterable[Union[dict, Sequence]] = (),
+    head: Iterable[Union[dict, Sequence]] = (),
+    tail: Iterable[Union[dict, Sequence]] = (),
 ) -> Iterator[str]:
-    """The report around the violation rows spooled in ``rows``: after the
-    counts in JSON, before them in TSV."""
-    rule_counts = {rule.value: n for rule, n in counts.items()}
+    """A report, a row at a time.  JSON is ``json.dumps(payload, indent=2)``
+    with ``rows`` in the empty list ``payload[key]``, each nested as
+    ``json.dumps`` nests it.  TSV is one line per row of ``head``, ``rows``
+    and ``tail``: the row's values, tab-separated, floats to 4 places."""
     if fmt == "json":
-        payload = {
-            "entries": total,
-            "kept": kept,
-            "discarded": total - kept,
-            "rule_counts": rule_counts,
-            "violations": [],
-        }
-        head = json.dumps(payload, indent=2)
-        if not any(counts.values()):
-            yield head + "\n"
-            return
-        # the rows go into the empty list that ends the payload
-        yield head.removesuffix("[]\n}") + "[\n"
-        yield from _spooled(rows)
-        yield "\n  ]\n}\n"
+        text = json.dumps(payload, indent=2) + "\n"
+        # the rows go between the brackets of payload[key]; a top-level key
+        # is the only one indented by two spaces
+        before, empty, after = text.partition(f"\n  {json.dumps(key)}: []")
+        written = False
+        for row in rows:
+            item = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+            yield (",\n" if written else before + empty[:-1] + "\n") + item
+            written = True
+        yield "\n  ]" + after if written else text
         return
-    yield from _spooled(rows)
-    rule_text = " ".join(f"{rule} {n}" for rule, n in rule_counts.items())
-    yield f"# entries {total} kept {kept} discarded {total - kept}\n# {rule_text}\n"
+    for row in itertools.chain(head, rows, tail):
+        values = row.values() if isinstance(row, dict) else row
+        cells = (f"{v:.4f}" if isinstance(v, float) else str(v) for v in values)
+        yield "\t".join(cells) + "\n"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -309,24 +287,42 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ) from err
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
-    counts = dict.fromkeys(Rule, 0)
+    counts = dict.fromkeys((rule.value for rule in Rule), 0)
     total = kept = 0
+    # one JSON line per violation, as a detail may hold tabs or line breaks;
+    # spooled because the JSON report puts the counts before the rows
     with _spool() as rows, _spool() as document:
         for entries in _read_chunks(args.input):
             outcome = filter_corpus(entries, lexicon, args.unknown_frames, jobs=args.jobs)
             for position, (entry, report) in enumerate(outcome.results, total):
                 label = _entry_label(entry, position)
                 for violation in report.violations:
-                    first = not any(counts.values())
-                    rows.write(_violation_row(args.format, label, violation, first))
-                    counts[violation.rule] += 1
+                    row = {
+                        "entry": label,
+                        "rule": violation.rule.value,
+                        "node": violation.node,
+                        "detail": violation.detail,
+                    }
+                    rows.write(json.dumps(row) + "\n")
+                    counts[violation.rule.value] += 1
             passed = outcome.kept
             if args.kept_out:
                 document.writelines(_document_blocks(passed, separator="\n" if kept else ""))
             kept += len(passed)
             total += len(entries)
             del entries, outcome, passed  # not held while the next chunk is read
-        _write_text(args.report, _validation_report(args.format, total, kept, counts, rows))
+        payload = {
+            "entries": total,
+            "kept": kept,
+            "discarded": total - kept,
+            "rule_counts": counts,
+            "violations": [],
+        }
+        rule_text = " ".join(f"{rule} {n}" for rule, n in counts.items())
+        tail = [[f"# entries {total} kept {kept} discarded {total - kept}"], [f"# {rule_text}"]]
+        rows.seek(0)
+        report = _report(args.format, payload, "violations", map(json.loads, rows), tail=tail)
+        _write_text(args.report, report)
         if args.kept_out:
             _write_text(args.kept_out, _spooled(document))
     return 1 if kept < total else 0
@@ -362,37 +358,15 @@ def _align_pairs(
     return list(zip(pred_entries, gold_entries)), labels
 
 
-def _score_row(label: str, score: SmatchScore) -> str:
-    return (
-        f"{label}\t{score.matched}\t{score.pred_total}\t{score.gold_total}\t"
-        f"{score.precision:.4f}\t{score.recall:.4f}\t{score.f1:.4f}"
-    )
-
-
-def _score_obj(label: Optional[str], score: SmatchScore) -> dict:
-    obj = {} if label is None else {"id": label}
-    obj.update(
-        matched=score.matched,
-        pred_total=score.pred_total,
-        gold_total=score.gold_total,
-        precision=round(score.precision, 4),
-        recall=round(score.recall, 4),
-        f1=round(score.f1, 4),
-    )
-    return obj
-
-
-def _score_report(
-    labels: list[str], per_pair: list[SmatchScore], aggregate: SmatchScore, fmt: str
-) -> str:
-    payload = {
-        "pairs": [_score_obj(l, s) for l, s in zip(labels, per_pair)],
-        "aggregate": _score_obj(None, aggregate),
+def _score_obj(score: SmatchScore) -> dict:
+    return {
+        "matched": score.matched,
+        "pred_total": score.pred_total,
+        "gold_total": score.gold_total,
+        "precision": round(score.precision, 4),
+        "recall": round(score.recall, 4),
+        "f1": round(score.f1, 4),
     }
-    lines = ["# id\tmatched\tpred_total\tgold_total\tprecision\trecall\tf1"]
-    lines.extend(_score_row(l, s) for l, s in zip(labels, per_pair))
-    lines.append(_score_row("ALL", aggregate))
-    return _render(fmt, payload, lines)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -423,7 +397,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     pairs = [(pred.graph, gold.graph) for pred, gold in paired]
     aggregate, per_pair = score_corpus(pairs, config, jobs=args.jobs, macro=args.macro)
-    _write_text(args.output, [_score_report(labels, per_pair, aggregate, args.format)])
+    rows = ({"id": label, **_score_obj(score)} for label, score in zip(labels, per_pair))
+    overall = _score_obj(aggregate)
+    payload = {"pairs": [], "aggregate": overall}
+    head, tail = [["# id", *overall]], [["ALL", *overall.values()]]
+    _write_text(args.output, _report(args.format, payload, "pairs", rows, head, tail))
     if args.min_f1 is not None and aggregate.f1 < args.min_f1:
         return 1
     return 0
@@ -433,14 +411,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     entries = _read_entries(args.input)
     limit = args.k if args.k > 0 else None
     table = top_node_stats(entries, limit)
-    payload = {
-        "rows": [[label, count] for label, count in table.rows],
-        "counted": table.counted,
-        "skipped": table.skipped,
-    }
-    lines = [f"{label}\t{count}" for label, count in table.rows]
-    lines.append(f"# counted {table.counted} skipped {table.skipped}")
-    _write_text(None, [_render(args.format, payload, lines)])
+    payload = {"rows": [], "counted": table.counted, "skipped": table.skipped}
+    tail = [[f"# counted {table.counted} skipped {table.skipped}"]]
+    _write_text(None, _report(args.format, payload, "rows", table.rows, tail=tail))
     return 0
 
 
@@ -453,8 +426,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     _write_text(args.train_out, _document_blocks(train))
     _write_text(args.test_out, _document_blocks(test))
     payload = {"train": len(train), "test": len(test)}
-    lines = [f"train\t{len(train)}", f"test\t{len(test)}"]
-    _write_text(None, [_render(args.format, payload, lines)])
+    _write_text(None, _report(args.format, payload, tail=payload.items()))
     return 0
 
 

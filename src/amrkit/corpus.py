@@ -448,9 +448,6 @@ class NodeFrequencyTable:
     counted: int
     skipped: int
 
-    def top(self, k: int) -> tuple[tuple[str, int], ...]:
-        return self.rows[:k]
-
 
 def top_node_stats(
     entries: Sequence[CorpusEntry],

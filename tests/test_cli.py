@@ -13,9 +13,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import amrkit
 import amrkit.corpus
+from amrkit import SmatchScore
 from amrkit.cli import _align_pairs, main
 from genutil import (
     AND_ARITY_BAD,
@@ -35,6 +38,11 @@ REDUCED_CANONICAL = (
     '( w / want-01 :ARG0 ( b / boy :mod ( c / country :name '
     '( n / name :op1 "Hungary" ) ) ) )'
 )
+
+
+def text_stdin(text: str) -> io.TextIOWrapper:
+    """A stdin that holds ``text`` as UTF-8 bytes, as a process's does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 @pytest.fixture()
@@ -63,7 +71,7 @@ class TestCanonicalize:
         assert capsys.readouterr().out == first
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(FIGURE_RECORD))
+        monkeypatch.setattr(sys, "stdin", text_stdin(FIGURE_RECORD))
         assert main(["canonicalize", "-"]) == 0
         assert WANT_GO_CANONICAL in capsys.readouterr().out
 
@@ -73,7 +81,7 @@ class TestCanonicalize:
         assert capsys.readouterr().out == "# ::id a1\n( x / boy )\n"
 
     def test_byte_order_mark_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff# ::id a1\n( x / boy )\n"))
+        monkeypatch.setattr(sys, "stdin", text_stdin("\ufeff# ::id a1\n( x / boy )\n"))
         assert main(["canonicalize", "-"]) == 0
         assert capsys.readouterr().out == "# ::id a1\n( x / boy )\n"
 
@@ -710,6 +718,85 @@ class TestSplitAndSample:
         path = self.corpus(corpus_file)
         assert main(["sample", path, "-n", "21"]) == 2
         assert "between 0 and 20" in capsys.readouterr().err
+
+
+def tsv_line(values) -> str:
+    """A report row as TSV: its values tab-separated, floats to 4 places."""
+    return "\t".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in values)
+
+
+class TestReportLayout:
+    """Each report's JSON is indented as ``json.dumps(indent=2)`` writes
+    it, and its TSV holds the same rows, one line each."""
+
+    @staticmethod
+    def reports(capsys, argv: list[str]) -> tuple[list[str], dict]:
+        """The TSV lines and the JSON payload ``argv`` writes to stdout."""
+        outputs = []
+        for fmt in ("tsv", "json"):
+            main([*argv, "--format", fmt])
+            outputs.append(capsys.readouterr().out)
+        tsv, out = outputs
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        return tsv.splitlines(), json.loads(out)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_validate(self, corpus_file, capsys, n):
+        # ids that JSON escapes and TSV writes as they are
+        bad = [(f'bad"á{i}', (AND_ARITY_BAD, ILLEGAL_ARG_BAD)[i % 2]) for i in range(n)]
+        path = corpus_file("in.amr", corpus_text([("good", VALID_TEMPLATES[0]), *bad]))
+        lines, payload = self.reports(capsys, ["validate", path])
+        assert [row["entry"] for row in payload["violations"]] == [rid for rid, _ in bad]
+        counts = " ".join(f"{rule} {n}" for rule, n in payload["rule_counts"].items())
+        assert lines == [tsv_line(row.values()) for row in payload["violations"]] + [
+            f"# entries {payload['entries']} kept {payload['kept']} "
+            f"discarded {payload['discarded']}",
+            f"# {counts}",
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_score(self, corpus_file, capsys, n):
+        preds = [REDUCED_CANONICAL, WANT_GO_CANONICAL, "( b / boy )"]
+        gold = corpus_file("gold.amr", corpus_text([(f"p{i}", WANT_GO_CANONICAL) for i in range(n)]))
+        pred = corpus_file("pred.amr", corpus_text([(f"p{i}", preds[i % 3]) for i in range(n)]))
+        lines, payload = self.reports(capsys, ["score", pred, gold])
+        assert [row["id"] for row in payload["pairs"]] == [f"p{i}" for i in range(n)]
+        aggregate = payload["aggregate"]
+        assert lines == [
+            tsv_line(["# id", *aggregate]),
+            *(tsv_line(row.values()) for row in payload["pairs"]),
+            tsv_line(["ALL", *aggregate.values()]),
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_stats(self, corpus_file, capsys, n):
+        records = [(f"e{i}-{j}", f"( x / c{i} )") for i in range(n) for j in range(i + 1)]
+        path = corpus_file("in.amr", corpus_text([*records, ("bad", STRUCTURAL_BAD)]))
+        lines, payload = self.reports(capsys, ["stats", path, "-k", "0"])
+        assert len(payload["rows"]) == n
+        assert lines == [tsv_line(row) for row in payload["rows"]] + [
+            f"# counted {payload['counted']} skipped {payload['skipped']}"
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_split(self, corpus_file, tmp_path, capsys, n):
+        path = corpus_file("in.amr", corpus_text([(f"e{i}", VALID_TEMPLATES[0]) for i in range(n)]))
+        argv = ["split", path, "--test-size", str(n // 2),
+                "--train-out", str(tmp_path / "train"), "--test-out", str(tmp_path / "test")]
+        lines, payload = self.reports(capsys, argv)
+        assert payload == {"train": n - n // 2, "test": n // 2}
+        assert lines == [tsv_line(item) for item in payload.items()]
+
+    @given(st.data())
+    def test_rounded_scores_write_the_same_cells(self, data):
+        # JSON holds scores rounded to 4 places; TSV cells of the rounded
+        # values read as those of the exact ones
+        pred_total = data.draw(st.integers(0, 10**6))
+        gold_total = data.draw(st.integers(0, 10**6))
+        matched = data.draw(st.integers(0, min(pred_total, gold_total)))
+        score = SmatchScore.from_counts(matched, pred_total, gold_total)
+        for value in (score.precision, score.recall, score.f1):
+            assert f"{round(value, 4):.4f}" == f"{value:.4f}"
 
 
 class TestUsage:

@@ -499,7 +499,8 @@ def cli_outcomes(pred: str, gold: str) -> list:
         for argv in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                with mock.patch("sys.stdin", io.StringIO(pred)):
+                stdin = io.TextIOWrapper(io.BytesIO(pred.encode("utf-8")), encoding="utf-8")
+                with mock.patch("sys.stdin", stdin):
                     code = main(argv)
             files = {}
             for name in sorted(set(os.listdir(tmp)) - set(inputs)):
@@ -523,15 +524,12 @@ class TestCliMatchesOracleReader:
     @settings(max_examples=100, deadline=None)
     @given(corpus_texts(), corpus_texts(), st.booleans())
     def test_every_subcommand_equals_oracle(self, pred, other, same):
-        # the commands read files through _entry_chunks and a stdin without
-        # a byte buffer through entries_from_text: the oracle takes both
+        # the commands read files and stdin alike through _entry_chunks,
+        # which the oracle takes over
         gold = pred if same else other
         expected = cli_outcomes(pred, gold)
         with contextlib.ExitStack() as patches:
             for module in (amrkit.corpus, amrkit.cli):
-                patches.enter_context(
-                    mock.patch.object(module, "entries_from_text", corpus_read.entries_from_text)
-                )
                 patches.enter_context(mock.patch.object(module, "_entry_chunks", oracle_chunks))
             assert cli_outcomes(pred, gold) == expected
 
@@ -941,8 +939,3 @@ class TestStats:
         entries = make_corpus(30)
         table = top_node_stats(entries)
         assert sum(count for _, count in table.rows) == table.counted == 30
-
-    def test_top_method(self):
-        entries = make_corpus(30)
-        table = top_node_stats(entries)
-        assert table.top(2) == table.rows[:2]
